@@ -239,39 +239,7 @@ let fiber_deque_ops ~scale () =
    that one deque, so this is exactly the spawn -> steal path the
    lock-free deque and the targeted-wakeup protocol serve. *)
 let fiber_spawn_steal ~domains ~scale () =
-  let pool = Fiber.create ~domains () in
-  let tasks = 50_000 * scale in
-  Fiber.run pool (fun () ->
-      let batch = 256 in
-      let rem = ref tasks in
-      while !rem > 0 do
-        let k = Stdlib.min batch !rem in
-        let ps = List.init k (fun _ -> Fiber.spawn (fun () -> ())) in
-        List.iter Fiber.await ps;
-        rem := !rem - k
-      done);
-  Fiber.shutdown pool;
-  float_of_int tasks
-
-(* Alloc-free spawn steady state: the wave-spawn loop of
-   fiber_spawn_steal on one domain, with the dead-fiber free-list
-   either at its default size ([recycle:true]) or disabled
-   ([recycle:false], spawn_freelist 0 — every spawn takes the cold
-   path).  The pair is measured in one process, so the off/on ns-per-op
-   delta isolates what the recycling fast path costs or saves per
-   spawn: reuse eliminates the fiber record, runner and effect-handler
-   allocations (minor words drop measurably), but the payload store
-   into an old cell is a write barrier that promotes payloads live
-   across a minor GC, so the raw ns/op verdict is workload- and
-   GC-pacing-dependent — which is exactly why both variants are
-   tracked. *)
-let fiber_spawn_recycle ~recycle ~scale () =
-  let pool =
-    Fiber.make
-      (Fiber.Config.make ~domains:1
-         ~spawn_freelist:(if recycle then 64 else 0)
-         ())
-  in
+  let pool = Fiber.make (Fiber.Config.make ~domains ()) in
   let tasks = 50_000 * scale in
   Fiber.run pool (fun () ->
       let batch = 256 in
@@ -289,7 +257,7 @@ let fiber_spawn_recycle ~recycle ~scale () =
    classic divide-and-conquer shape (steals happen near the root,
    owner-local LIFO pops near the leaves). *)
 let fiber_forkjoin ~domains ~scale () =
-  let pool = Fiber.create ~domains () in
+  let pool = Fiber.make (Fiber.Config.make ~domains ()) in
   let n = 60_000 * scale in
   let cutoff = 128 in
   let total =
@@ -319,7 +287,7 @@ let fiber_forkjoin ~domains ~scale () =
    (push_front into the CAS-swapped segment) — the preemption
    descheduling path without a ticker. *)
 let fiber_pingpong ~domains ~scale () =
-  let pool = Fiber.create ~domains () in
+  let pool = Fiber.make (Fiber.Config.make ~domains ()) in
   let yields = 40_000 * scale in
   Fiber.run pool (fun () ->
       let ps =
@@ -339,7 +307,9 @@ let fiber_pingpong ~domains ~scale () =
    1 ms ticker induces — the LibPreemptible-style "how much does
    preemptibility cost the hot loop" number. *)
 let fiber_preempt ~domains ~scale () =
-  let pool = Fiber.create ~domains ~preempt_interval:0.001 () in
+  let pool =
+    Fiber.make (Fiber.Config.make ~domains ~preempt_interval:0.001 ())
+  in
   let iters = 250_000 * scale in
   let fibers = 2 * domains in
   Fiber.run pool (fun () ->
@@ -406,7 +376,7 @@ let pool_isolation ~sharded ~scale () =
                  ~overflow:false ();
              ]
            ())
-    else Fiber.create ~domains ()
+    else Fiber.make (Fiber.Config.make ~domains ())
   in
   let load_pool = if sharded then "compute" else "default" in
   let probe_pool = if sharded then "analysis" else "default" in
@@ -498,8 +468,6 @@ let benchmarks ~quick =
     ("fiber_spawn_steal_d1", 1, fiber_spawn_steal ~domains:1 ~scale);
     ("fiber_spawn_steal_d2", 2, fiber_spawn_steal ~domains:2 ~scale);
     ("fiber_spawn_steal_d4", 4, fiber_spawn_steal ~domains:4 ~scale);
-    ("fiber_spawn_recycle_off", 1, fiber_spawn_recycle ~recycle:false ~scale);
-    ("fiber_spawn_recycle_on", 1, fiber_spawn_recycle ~recycle:true ~scale);
     ("fiber_forkjoin_d4", 4, fiber_forkjoin ~domains:4 ~scale);
     ("fiber_pingpong_d2", 2, fiber_pingpong ~domains:2 ~scale);
     ("fiber_preempt_d1", 1, fiber_preempt ~domains:1 ~scale);

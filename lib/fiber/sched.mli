@@ -32,14 +32,6 @@ type 'a promise
     record that does not partition the workers. *)
 val make : Config.t -> pool
 
-(** Deprecated single-pool shim, kept for source compatibility: builds
-    [make (Config.make ?domains ?preempt_interval ())] — one
-    ["default"] sub-pool spanning every worker under the work-stealing
-    scheduler, exactly the historical flat pool.  New code should build
-    a {!Config.t}; validation errors accordingly come in
-    [Config.make]'s uniform format. *)
-val create : ?domains:int -> ?preempt_interval:float -> unit -> pool
-
 (** Total worker count across all sub-pools. *)
 val domains : pool -> int
 
@@ -73,22 +65,15 @@ val submit : pool -> ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
     incoming request.  [prio] (default [0]) is a scheduler hint: under
     {!Scheduler.priority}, [prio > 0] marks in-situ analysis work.
     The fiber is pinned: wherever it suspends or yields, it re-enters
-    its home sub-pool.
-
-    Untargeted [prio = 0] spawns take the {e recycle fast path}: the
-    fiber record and its effect-handler closures come from a
-    per-worker free-list of dead fibers (bounded by
-    [Config.spawn_freelist]), so a steady-state spawn allocates only
-    the promise.  Hits and misses are visible as
-    {!subpool_stats}[.st_recycled] / [.st_recycle_miss].
+    its home sub-pool.  Every spawn allocates a fresh fiber and a
+    fresh promise.
     @raise Invalid_argument on an unknown sub-pool name. *)
 val spawn : ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
 
-(** Wait for a promise; re-raises if the child failed.  Before
-    suspending, a fiber joining on an unresolved promise {e leapfrogs}:
-    it raids the queue of the worker that spawned the awaited fiber
-    (a hint carried in the promise) and runs what it finds inline,
-    shortening the critical path instead of parking. *)
+(** Wait for a promise; re-raises if the child failed.  Returns at
+    once if the promise is already fulfilled; otherwise the calling
+    fiber suspends and its worker moves on to other work until the
+    promise resolves and requeues it on its home sub-pool. *)
 val await : 'a promise -> 'a
 
 val yield : unit -> unit
@@ -140,13 +125,14 @@ type subpool_stats = {
       (** extra tasks batched raids flushed into members' own queues
           (beyond the one-per-raid counted by [st_local_steals] /
           [st_overflow_in]) *)
-  st_recycled : int;  (** spawns served from the dead-fiber free-list *)
+  st_recycled : int;
   st_recycle_miss : int;
-      (** recycle-eligible spawns that had to allocate a fresh fiber
-          record (cold start, free-list exhausted) *)
   st_leapfrog : int;
-      (** tasks joiners ran inline by leapfrogging on their await
-          victim instead of parking *)
+      (** [st_recycled], [st_recycle_miss] and [st_leapfrog] are
+          retired and always [0]: fiber recycling and joiner
+          leapfrogging were removed because neither paid on the
+          fork-join benchmark.  They are kept only so the benchmark's
+          readers still compile. *)
   st_pending : int;  (** scheduler length snapshot *)
   st_quanta : (int * float) list;
       (** [(worker id, current preemption quantum in seconds)] per

@@ -26,10 +26,6 @@
      would build a thief->victim lock cycle across workers raiding
      each other).  Implementations cap the batch at half the victim's
      run so the victim stays supplied.
-   - [steal_from ~victim]: directed steal from one member's queue
-     ([0 <= victim < slots]), for joiners leapfrogging on the worker
-     that published the work they are waiting for.  Never touches
-     analysis (aux) work.
    - [length]: racy size snapshot (diagnostics / idleness heuristics),
      never negative.
 
@@ -65,8 +61,6 @@ module type SCHEDULER = sig
     max:int ->
     spill:(task -> unit) ->
     task option
-
-  val steal_from : t -> victim:int -> task option
 
   val length : t -> int
 end
@@ -133,8 +127,6 @@ module Ws : SCHEDULER = struct
      held by construction). *)
   let steal_batch t ~slot ~rng ~max ~spill =
     raid t ~slot ~rng ~take:(fun d -> Deque.steal_batch d ~max ~spill)
-
-  let steal_from t ~victim = Deque.steal t.deques.(victim)
 
   let length t = Array.fold_left (fun acc d -> acc + Deque.length d) 0 t.deques
 end
@@ -275,8 +267,6 @@ module Packing : SCHEDULER = struct
         in
         sweep 0
 
-  let steal_from t ~victim = Lq.pop t.priv.(victim)
-
   let length t =
     Lq.length t.shared + Array.fold_left (fun a q -> a + Lq.length q) 0 t.priv
 end
@@ -407,8 +397,6 @@ module Priority : SCHEDULER = struct
     | Some _ as r -> r
     | None -> aux_fallback t ~slot
 
-  let steal_from t ~victim = Lq.pop t.main.(victim)
-
   let length t =
     Array.fold_left (fun a q -> a + Lq.length q) 0 t.main
     + Array.fold_left (fun a s -> a + aux_length s) 0 t.aux
@@ -444,7 +432,6 @@ type instance = {
   i_steal : slot:int -> rng:(unit -> int) -> task option;
   i_steal_batch :
     slot:int -> rng:(unit -> int) -> max:int -> spill:(task -> unit) -> task option;
-  i_steal_from : victim:int -> task option;
   i_length : unit -> int;
 }
 
@@ -459,6 +446,5 @@ let instantiate (module S : SCHEDULER) ~slots =
     i_steal = (fun ~slot ~rng -> S.steal st ~slot ~rng);
     i_steal_batch =
       (fun ~slot ~rng ~max ~spill -> S.steal_batch st ~slot ~rng ~max ~spill);
-    i_steal_from = (fun ~victim -> S.steal_from st ~victim);
     i_length = (fun () -> S.length st);
   }

@@ -62,12 +62,6 @@ module type SCHEDULER = sig
       Analysis-priority work ([prio > 0] under {!priority}) is never
       batched.  [max <= 1] behaves as {!steal}. *)
 
-  val steal_from : t -> victim:int -> task option
-  (** Directed steal from member [victim]'s own queue
-      ([0 <= victim < slots]); used by joiners leapfrogging on the
-      worker that published the work they are waiting for.  Never
-      serves analysis (aux) work. *)
-
   val length : t -> int
   (** Racy size snapshot (diagnostics, idleness heuristics); never
       negative. *)
@@ -97,7 +91,6 @@ type instance = {
   i_steal : slot:int -> rng:(unit -> int) -> task option;
   i_steal_batch :
     slot:int -> rng:(unit -> int) -> max:int -> spill:(task -> unit) -> task option;
-  i_steal_from : victim:int -> task option;
   i_length : unit -> int;
 }
 

@@ -104,7 +104,7 @@ let deque_stress ~stealers ~items =
 (* 2. Park/unpark hammer. *)
 
 let park_hammer ~domains ~rounds =
-  let pool = Fiber.create ~domains () in
+  let pool = Fiber.make (Fiber.Config.make ~domains ()) in
   let total = Atomic.make 0 in
   for round = 1 to rounds do
     let n =
@@ -137,7 +137,9 @@ let park_hammer ~domains ~rounds =
 (* 3. Preemption ticker across domains. *)
 
 let preempt_smoke ~domains =
-  let pool = Fiber.create ~domains ~preempt_interval:0.002 () in
+  let pool =
+    Fiber.make (Fiber.Config.make ~domains ~preempt_interval:0.002 ())
+  in
   let finished =
     Fiber.run pool (fun () ->
         let ps =
@@ -175,7 +177,9 @@ let preempt_smoke ~domains =
    run — the same access pattern as the [repro top] display thread. *)
 
 let stats_sampler_smoke ~domains ~rounds =
-  let pool = Fiber.create ~domains ~preempt_interval:0.002 () in
+  let pool =
+    Fiber.make (Fiber.Config.make ~domains ~preempt_interval:0.002 ())
+  in
   let stop = Atomic.make false in
   let bad = Atomic.make 0 in
   let snapshots = Atomic.make 0 in
@@ -192,9 +196,6 @@ let stats_sampler_smoke ~domains ~rounds =
                 || st.Fiber.st_overflow_in < 0
                 || st.Fiber.st_overflow_out < 0
                 || st.Fiber.st_batch_stolen < 0
-                || st.Fiber.st_recycled < 0
-                || st.Fiber.st_recycle_miss < 0
-                || st.Fiber.st_leapfrog < 0
               then Atomic.incr bad)
             (Fiber.stats pool)
         done)
@@ -265,39 +266,34 @@ let serve_span_smoke () =
         s.spn_verified s.spn_complete
 
 (* ------------------------------------------------------------------ *)
-(* 6. Spawn recycling: on a single-domain pool the spawner is also the
-   runner, so dead fiber cells cycle deterministically through the
-   worker's own free-list.  With bursts no larger than the free-list
-   bound, only the first round's spawns can miss (cold list); every
-   later spawn must be served from recycled cells. *)
+(* 6. Spawn accounting: [Fiber.run] enqueues its main fiber without
+   counting it, so once the pool is quiescent [st_spawned] must equal
+   the number of [Fiber.spawn] calls exactly.  The three retired
+   counters must read 0. *)
 
-let recycle_smoke ~rounds ~burst =
-  let pool =
-    Fiber.make (Fiber.Config.make ~domains:1 ~spawn_freelist:(2 * burst) ())
-  in
+let spawn_accounting_smoke ~rounds ~burst =
+  let pool = Fiber.make (Fiber.Config.make ~domains:1 ()) in
   for _round = 1 to rounds do
     let n =
       Fiber.run pool (fun () ->
           let ps = List.init burst (fun i -> Fiber.spawn (fun () -> i)) in
           List.fold_left (fun acc p -> acc + Fiber.await p) 0 ps)
     in
-    if n <> burst * (burst - 1) / 2 then fail "recycle smoke: round sum %d" n
+    if n <> burst * (burst - 1) / 2 then fail "spawn accounting: round sum %d" n
   done;
   let st = List.hd (Fiber.stats pool) in
   Fiber.shutdown pool;
   let spawned = rounds * burst in
-  if st.Fiber.st_recycled + st.Fiber.st_recycle_miss <> spawned then
-    fail "recycle smoke: %d hits + %d misses <> %d spawns"
-      st.Fiber.st_recycled st.Fiber.st_recycle_miss spawned;
-  if st.Fiber.st_recycle_miss > burst then
-    fail "recycle smoke: %d misses, expected at most the cold first burst (%d)"
-      st.Fiber.st_recycle_miss burst;
-  if st.Fiber.st_recycled < (rounds - 1) * burst then
-    fail "recycle smoke: only %d spawns recycled, expected >= %d"
-      st.Fiber.st_recycled
-      ((rounds - 1) * burst);
-  Printf.printf "recycle smoke: %d/%d spawns served from the free-list\n%!"
-    st.Fiber.st_recycled spawned
+  if st.Fiber.st_spawned <> spawned then
+    fail "spawn accounting: st_spawned = %d, expected %d" st.Fiber.st_spawned
+      spawned;
+  if st.Fiber.st_recycled <> 0 || st.Fiber.st_recycle_miss <> 0
+     || st.Fiber.st_leapfrog <> 0
+  then
+    fail "spawn accounting: retired counters %d/%d/%d, expected 0"
+      st.Fiber.st_recycled st.Fiber.st_recycle_miss st.Fiber.st_leapfrog;
+  Printf.printf "spawn accounting: %d/%d spawns counted\n%!" st.Fiber.st_spawned
+    spawned
 
 let () =
   deque_stress ~stealers:3 ~items:30_000;
@@ -305,5 +301,5 @@ let () =
   preempt_smoke ~domains:2;
   stats_sampler_smoke ~domains:3 ~rounds:150;
   serve_span_smoke ();
-  recycle_smoke ~rounds:25 ~burst:16;
+  spawn_accounting_smoke ~rounds:25 ~burst:16;
   print_endline "fiber-smoke: OK"

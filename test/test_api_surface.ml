@@ -262,29 +262,27 @@ let test_fiber_quantum_config_validation () =
        "Config: adaptive = true (must be combined with preempt_interval)")
     (fun () -> ignore (Fiber.Config.make ~domains:1 ~adaptive:true ()))
 
-(* The deprecated [Fiber.create] shim still builds a working pool — one
-   "default" sub-pool spanning every worker under the work-stealing
-   scheduler — so historical call sites compile and run unchanged. *)
-let test_fiber_create_shim () =
-  let pool = Fiber.create ~domains:2 () in
+(* [Fiber.Config.make]'s defaults build a flat pool: one "default"
+   sub-pool spanning every worker under the work-stealing scheduler,
+   never adaptive, and with [~preempt_interval] every worker's quantum
+   pinned at the interval. *)
+let test_fiber_config_defaults () =
+  let pool = Fiber.make (Fiber.Config.make ~domains:2 ()) in
   Alcotest.(check (list string)) "one default sub-pool" [ "default" ]
     (Fiber.subpools pool);
-  Alcotest.(check bool) "shim pools are never adaptive" false
+  Alcotest.(check bool) "default pools are never adaptive" false
     (Fiber.adaptive pool);
   Alcotest.(check int) "domains" 2 (Fiber.domains pool);
   let v = Fiber.run pool (fun () -> Fiber.await (Fiber.spawn (fun () -> 41 + 1))) in
-  Alcotest.(check int) "shim pool runs" 42 v;
+  Alcotest.(check int) "default pool runs" 42 v;
   (match Fiber.stats pool with
   | [ st ] ->
       Alcotest.(check string) "ws scheduler" "ws" st.Fiber.st_sched;
       Alcotest.(check int) "both workers" 2 st.Fiber.st_workers
   | sts -> Alcotest.fail (Printf.sprintf "%d stats rows, expected 1" (List.length sts)));
   Fiber.shutdown pool;
-  (* [?preempt_interval] through the shim still means a fixed-interval
-     pool: non-adaptive, every worker's quantum pinned at the
-     interval. *)
-  let pool = Fiber.create ~domains:2 ~preempt_interval:1e-3 () in
-  Alcotest.(check bool) "preempting shim pool stays non-adaptive" false
+  let pool = Fiber.make (Fiber.Config.make ~domains:2 ~preempt_interval:1e-3 ()) in
+  Alcotest.(check bool) "preempting default pool stays non-adaptive" false
     (Fiber.adaptive pool);
   (match Fiber.stats pool with
   | [ st ] ->
@@ -336,5 +334,6 @@ let suite =
       test_fiber_config_validation;
     Alcotest.test_case "Fiber.Config quantum knobs" `Quick
       test_fiber_quantum_config_validation;
-    Alcotest.test_case "Fiber.create shim" `Quick test_fiber_create_shim;
+    Alcotest.test_case "Fiber.Config.make defaults" `Quick
+      test_fiber_config_defaults;
   ]

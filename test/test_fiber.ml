@@ -1,7 +1,7 @@
 (* Tests for the real (executable, multicore) fiber runtime. *)
 
 let with_pool ?(domains = 2) ?preempt_interval f =
-  let pool = Fiber.create ~domains ?preempt_interval () in
+  let pool = Fiber.make (Fiber.Config.make ~domains ?preempt_interval ()) in
   Fun.protect ~finally:(fun () -> Fiber.shutdown pool) (fun () -> f pool)
 
 let test_run_returns () =
@@ -114,7 +114,7 @@ let test_pool_reuse_across_runs () =
       Alcotest.(check int) "second" 2 (Fiber.run pool (fun () -> 2)))
 
 let test_shutdown_rejects_run () =
-  let pool = Fiber.create ~domains:1 () in
+  let pool = Fiber.make (Fiber.Config.make ~domains:1 ()) in
   Fiber.shutdown pool;
   Alcotest.check_raises "rejected" (Invalid_argument "Fiber.run: pool is shut down")
     (fun () -> ignore (Fiber.run pool (fun () -> ())))
