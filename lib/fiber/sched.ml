@@ -79,12 +79,22 @@ type pool = {
   tel_every : int; (* sample every N ticker sweeps *)
 }
 
-(* Promise state machine: one atomic word, CAS [Pending -> Resolved /
-   Failed].  [resolve] and [await]'s fast path never touch a lock;
-   waiters accumulate by CAS-consing onto the pending list and are woken
-   in FIFO registration order (the cons list is reversed once on
-   resolve). *)
-type 'a state = Pending of (unit -> unit) list | Resolved of 'a | Failed of exn
+(* Promise state machine: one atomic word, CAS [Pending / Claimable ->
+   Resolved / Failed].  [resolve] and [await]'s fast path never touch a
+   lock; waiters accumulate by CAS-consing onto the pending list and are
+   woken in FIFO registration order (the cons list is reversed once on
+   resolve).
+
+   [Claimable] is [Pending] for a local spawn.  It carries the child's
+   deque entry (the task a worker runs to start the child as a fiber of
+   its own) and its body, so that a joiner that removes the entry from
+   its own deque can run the body inline (see [await]).  Resolving drops
+   both, so a finished promise holds only its outcome. *)
+type 'a state =
+  | Pending of (unit -> unit) list
+  | Claimable of Scheduler.task * (unit -> 'a) * (unit -> unit) list
+  | Resolved of 'a
+  | Failed of exn
 
 type 'a promise = 'a state Atomic.t
 
@@ -306,17 +316,16 @@ let handler pool sp ~prio =
         | _ -> None);
   }
 
-let make_fiber pool sp ~prio body =
- fun () -> Effect.Deep.match_with body () (handler pool sp ~prio)
+(* Run [body] as a fiber of its own, under the handler of its home
+   sub-pool. *)
+let as_fiber pool sp ~prio body = Effect.Deep.match_with body () (handler pool sp ~prio)
 
 (* ------------------------------------------------------------------ *)
 (* Promises. *)
 
-let promise () = Atomic.make (Pending [])
-
 let rec resolve p outcome =
   match Atomic.get p with
-  | Pending pw as cur ->
+  | (Pending pw | Claimable (_, _, pw)) as cur ->
       if Atomic.compare_and_set p cur outcome then
         (* [pw] accumulated newest-first; wake in FIFO registration
            order (test_fsync pins this). *)
@@ -324,8 +333,16 @@ let rec resolve p outcome =
       else resolve p outcome
   | Resolved _ | Failed _ -> ()
 
+(* Run a child's body on the current stack and publish its outcome. *)
+let settle p body =
+  match body () with
+  | v -> resolve p (Resolved v)
+  | exception e -> resolve p (Failed e)
+
 let is_resolved p =
-  match Atomic.get p with Pending _ -> false | Resolved _ | Failed _ -> true
+  match Atomic.get p with
+  | Pending _ | Claimable _ -> false
+  | Resolved _ | Failed _ -> true
 
 let find_sp pool name =
   let sps = pool.subpools in
@@ -338,20 +355,17 @@ let find_sp pool name =
   go 0
 
 (* [slot] is the spawning member's own slot, or -1 for the scheduler's
-   external path, which is counted as a submission to [sp]. *)
+   external path, which is counted as a submission to [sp].  The task
+   builds the child's fiber (stack and handler) only when a worker runs
+   it; a joiner that takes it back never does.  [p] must be
+   [Claimable] before the push: once the task is visible, a thief may
+   resolve [p]. *)
 let spawn_in pool sp ~prio ~slot body =
-  let p = promise () in
-  let fiber =
-    make_fiber pool sp ~prio (fun () ->
-        match body () with
-        | v -> resolve p (Resolved v)
-        | exception e -> resolve p (Failed e))
-  in
-  if slot >= 0 then sp.inst.i_push ~slot ~prio fiber
-  else begin
-    sp.inst.i_push ~slot:(-1) ~prio fiber;
-    Atomic.incr sp.sp_ext_spawned
-  end;
+  let p = Atomic.make (Pending []) in
+  let task () = as_fiber pool sp ~prio (fun () -> settle p body) in
+  if slot >= 0 then Atomic.set p (Claimable (task, body, []))
+  else Atomic.incr sp.sp_ext_spawned;
+  sp.inst.i_push ~slot ~prio task;
   notify_push pool sp;
   p
 
@@ -374,26 +388,55 @@ let submit p ?pool:target ?(prio = 0) body =
   let sp = match target with Some name -> find_sp p name | None -> p.subpools.(0) in
   spawn_in p sp ~prio ~slot:(-1) body
 
-let await p =
-  let rec value () =
-    match Atomic.get p with
-    | Resolved v -> v
-    | Failed e -> raise e
-    | Pending _ ->
-        Effect.perform
-          (Suspend
-             (fun wake ->
-               let rec register () =
-                 match Atomic.get p with
-                 | Pending ws as cur ->
-                     if not (Atomic.compare_and_set p cur (Pending (wake :: ws)))
-                     then register ()
-                 | Resolved _ | Failed _ -> wake ()
+(* Work-first join: remove [entry] from the owner end of the current
+   worker's own deque.  Success is the one claim on the entry (a thief's
+   steal of it fails), so the caller may run the child inline.  On
+   failure the scheduler may have popped and re-pushed another task;
+   the epoch bump keeps a sibling in its park protocol from sleeping
+   through that window. *)
+let take_own entry =
+  let pool, w = self () in
+  let sp = pool.subpools.(w.w_sp) in
+  sp.inst.i_take ~slot:w.w_slot entry
+  || begin
+       notify_push pool sp;
+       false
+     end
+
+(* Return the outcome, suspending until the promise resolves.  Waiters
+   register with a CAS on the state word and never spin. *)
+let rec wait p =
+  match Atomic.get p with
+  | Resolved v -> v
+  | Failed e -> raise e
+  | Pending _ | Claimable _ ->
+      Effect.perform
+        (Suspend
+           (fun wake ->
+             let rec register () =
+               let cur = Atomic.get p in
+               let next =
+                 match cur with
+                 | Pending ws -> Some (Pending (wake :: ws))
+                 | Claimable (e, b, ws) -> Some (Claimable (e, b, wake :: ws))
+                 | Resolved _ | Failed _ -> None
                in
-               register ()));
-        value ()
-  in
-  value ()
+               match next with
+               | Some next -> if not (Atomic.compare_and_set p cur next) then register ()
+               | None -> wake ()
+             in
+             register ()));
+      wait p
+
+let await p =
+  (match Atomic.get p with
+  | Claimable (entry, body, _) when take_own entry ->
+      (* The child never started: run it here, inside the joiner's
+         fiber.  Its effects reach the joiner's handler, so a yield or
+         a block in the child suspends both together. *)
+      settle p body
+  | _ -> ());
+  wait p
 
 let yield () = Effect.perform Yield
 
@@ -841,15 +884,15 @@ let run pool main =
   | Some _ -> invalid_arg "Fiber.run: reentrant call from inside a fiber"
   | None -> ());
   let result = ref None in
-  let p = promise () in
+  let finished = Atomic.make false in
   let w0 = pool.workers.(0) in
   let sp0 = pool.subpools.(w0.w_sp) in
-  let fiber =
-    make_fiber pool sp0 ~prio:0 (fun () ->
+  let fiber () =
+    as_fiber pool sp0 ~prio:0 (fun () ->
         (match main () with
         | v -> result := Some (Ok v)
         | exception e -> result := Some (Error e));
-        resolve p (Resolved ());
+        Atomic.set finished true;
         (* Worker 0's [until] just flipped; it may be parked, and a
            targeted signal could wake somebody else instead. *)
         notify_all pool)
@@ -858,7 +901,7 @@ let run pool main =
      [worker_loop] below. *)
   sp0.inst.i_push ~slot:(-1) ~prio:0 fiber;
   notify_push pool sp0;
-  worker_loop pool w0 ~until:(fun () -> is_resolved p);
+  worker_loop pool w0 ~until:(fun () -> Atomic.get finished);
   match !result with
   | Some (Ok v) -> v
   | Some (Error e) -> raise e
@@ -871,9 +914,14 @@ let shutdown pool =
   (match pool.ticker with Some t -> Thread.join t | None -> ());
   pool.doms <- []
 
+(* Join newest-first, like [parallel_for]: the youngest unstolen child
+   is then on top of the deque at every join and runs inline.
+   [List.rev_map] spawns in input order and returns the promises
+   newest-first; consing the results back reverses them into input
+   order. *)
 let parallel_map f xs =
-  let ps = List.map (fun x -> spawn (fun () -> f x)) xs in
-  List.map await ps
+  let ps = List.rev_map (fun x -> spawn (fun () -> f x)) xs in
+  List.fold_left (fun acc p -> await p :: acc) [] ps
 
 let parallel_for ?chunk lo hi f =
   let n = hi - lo in

@@ -65,15 +65,35 @@ val submit : pool -> ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
     incoming request.  [prio] (default [0]) is a scheduler hint: under
     {!Scheduler.priority}, [prio > 0] marks in-situ analysis work.
     The fiber is pinned: wherever it suspends or yields, it re-enters
-    its home sub-pool.  Every spawn allocates a fresh fiber and a
-    fresh promise.
+    its home sub-pool.
+
+    A local spawn (no [~pool]) queues the child as a claimable entry;
+    its fiber (stack and effect handler) is built only if a worker pops
+    or steals that entry.  If the joiner gets to it first, {!await}
+    runs the child inline instead (see there).  [~pool] spawns and
+    {!submit} always start the child as a fiber of its own.
     @raise Invalid_argument on an unknown sub-pool name. *)
 val spawn : ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
 
 (** Wait for a promise; re-raises if the child failed.  Returns at
-    once if the promise is already fulfilled; otherwise the calling
-    fiber suspends and its worker moves on to other work until the
-    promise resolves and requeues it on its home sub-pool. *)
+    once if the promise is already fulfilled.
+
+    Work-first join: if the child of a local {!spawn} has not started
+    and its entry is still next at the owner end of the current
+    worker's own queue, [await] removes the entry and runs the child's
+    body inline, on the joiner's stack.  That entry is then never run
+    by anybody else.  The sub-pool's scheduler decides whether an
+    entry can be taken back ({!Scheduler.SCHEDULER.take}): [ws] can;
+    [packing] and [priority], whose owner ends are FIFO, cannot, so
+    there every such join suspends.  The inline child runs inside the
+    joiner's fiber: a yield, a preemption at {!check} or an {!Fsync}
+    block in the child suspends the joiner with it, and both resume in
+    the joiner's home sub-pool with the joiner's [prio].
+
+    Otherwise (the child was stolen, is running, or is not next) the
+    calling fiber suspends and its worker moves on to other work until
+    the promise resolves and requeues it on its home sub-pool.  Join
+    children newest-first to keep them inline-runnable. *)
 val await : 'a promise -> 'a
 
 val yield : unit -> unit
@@ -104,7 +124,8 @@ val preemptions : pool -> int
 
 (** [parallel_map f xs] — apply [f] to every element in parallel fibers
     (one per element; use {!parallel_for} + arrays for fine-grained
-    ranges). Order preserved. *)
+    ranges).  Children are joined newest-first, so unstolen ones run
+    inline; the result order is the input order. *)
 val parallel_map : ('a -> 'b) -> 'a list -> 'b list
 
 (** {1 Observability} *)

@@ -14,6 +14,13 @@
    - [push_front ~slot ~prio]: re-queue a yielded task such that it does
      not run before other pending local work (yield must give way).
    - [pop ~slot]: the member's own next task; owner-only.
+   - [take ~slot x]: owner-only; remove exactly the entry [x]
+     (physical equality) if it is the next task at the slot's owner
+     end, and report whether it did.  The caller then runs [x] itself,
+     so a [true] is a claim: no other party may ever run that entry.
+     On [false] every task is still queued, in its old order, though
+     one may have left the queue for a moment; the caller bumps the
+     park epoch so a sibling that swept in that window re-sweeps.
    - [steal ~slot ~rng]: take a task another member made runnable
      ([slot >= 0]), or — with [slot = -1] — hand one to a foreign
      worker (cross-sub-pool overflow).  [rng ()] returns a fresh
@@ -51,6 +58,8 @@ module type SCHEDULER = sig
   val push_front : t -> slot:int -> prio:int -> task -> unit
 
   val pop : t -> slot:int -> task option
+
+  val take : t -> slot:int -> task -> bool
 
   val steal : t -> slot:int -> rng:(unit -> int) -> task option
 
@@ -92,10 +101,25 @@ module Ws : SCHEDULER = struct
 
   let pop t ~slot = Deque.pop t.deques.(slot)
 
+  (* The owner end is LIFO and only the owner pushes there, so putting a
+     non-matching task straight back restores the exact order.  A task
+     [pop] drew from the front segment (the ring was empty) lands in the
+     ring instead; with the ring empty that is the same place in both
+     the owner's and the thieves' order.  The match itself was claimed
+     by [pop], which a thief's steal cannot also win. *)
+  let take t ~slot x =
+    let d = t.deques.(slot) in
+    match Deque.pop d with
+    | Some y when y == x -> true
+    | Some y ->
+        Deque.push d y;
+        false
+    | None -> false
+
   (* Random probes first (contention spread), then a deterministic
      sweep so no runnable task can be missed by an idle member.
-     [take] is the per-victim raid (single steal or a batched one). *)
-  let raid t ~slot ~rng ~take =
+     [claim] is the per-victim raid (single steal or a batched one). *)
+  let raid t ~slot ~rng ~claim =
     let n = Array.length t.deques in
     let rec probe k =
       if k = 0 then None
@@ -103,7 +127,7 @@ module Ws : SCHEDULER = struct
         let v = rng () mod n in
         if v = slot then probe (k - 1)
         else
-          match take t.deques.(v) with
+          match claim t.deques.(v) with
           | Some _ as r -> r
           | None -> probe (k - 1)
     in
@@ -114,19 +138,19 @@ module Ws : SCHEDULER = struct
           if i = n then None
           else if i = slot then sweep (i + 1)
           else
-            match take t.deques.(i) with
+            match claim t.deques.(i) with
             | Some _ as r -> r
             | None -> sweep (i + 1)
         in
         sweep 0
 
-  let steal t ~slot ~rng = raid t ~slot ~rng ~take:Deque.steal
+  let steal t ~slot ~rng = raid t ~slot ~rng ~claim:Deque.steal
 
   (* The deque's own steal-half does the batching: one raid claims up
      to half the victim's run, lock-free ([spill] runs with no lock
      held by construction). *)
   let steal_batch t ~slot ~rng ~max ~spill =
-    raid t ~slot ~rng ~take:(fun d -> Deque.steal_batch d ~max ~spill)
+    raid t ~slot ~rng ~claim:(fun d -> Deque.steal_batch d ~max ~spill)
 
   let length t = Array.fold_left (fun acc d -> acc + Deque.length d) 0 t.deques
 end
@@ -223,6 +247,9 @@ module Packing : SCHEDULER = struct
       match Lq.pop t.shared with None -> Lq.pop t.priv.(slot) | r -> r
     else
       match Lq.pop t.priv.(slot) with None -> Lq.pop t.shared | r -> r
+
+  (* The owner end is FIFO: the entry a joiner waits on is never next. *)
+  let take _ ~slot:_ _ = false
 
   let steal t ~slot ~rng =
     match Lq.pop t.shared with
@@ -345,6 +372,9 @@ module Priority : SCHEDULER = struct
 
   let pop t ~slot = Lq.pop t.main.(slot)
 
+  (* FIFO owner end, as in [Packing]. *)
+  let take _ ~slot:_ _ = false
+
   (* Aux only once no main work is reachable, and only for a member
      ([slot >= 0]): analysis never leaves the sub-pool.  Own LIFO
      first (its data is hot here), then the shared stack, so whichever
@@ -429,6 +459,7 @@ type instance = {
   i_push : slot:int -> prio:int -> task -> unit;
   i_push_front : slot:int -> prio:int -> task -> unit;
   i_pop : slot:int -> task option;
+  i_take : slot:int -> task -> bool;
   i_steal : slot:int -> rng:(unit -> int) -> task option;
   i_steal_batch :
     slot:int -> rng:(unit -> int) -> max:int -> spill:(task -> unit) -> task option;
@@ -443,6 +474,7 @@ let instantiate (module S : SCHEDULER) ~slots =
     i_push = (fun ~slot ~prio x -> S.push st ~slot ~prio x);
     i_push_front = (fun ~slot ~prio x -> S.push_front st ~slot ~prio x);
     i_pop = (fun ~slot -> S.pop st ~slot);
+    i_take = (fun ~slot x -> S.take st ~slot x);
     i_steal = (fun ~slot ~rng -> S.steal st ~slot ~rng);
     i_steal_batch =
       (fun ~slot ~rng ~max ~spill -> S.steal_batch st ~slot ~rng ~max ~spill);

@@ -38,6 +38,18 @@ module type SCHEDULER = sig
   val pop : t -> slot:int -> task option
   (** The member's own next task; owner-only, [slot >= 0]. *)
 
+  val take : t -> slot:int -> task -> bool
+  (** [take t ~slot x] removes the entry [x] (physical equality) if it
+      is the next task at the owner end of [slot], and returns [true];
+      owner-only, [slot >= 0].  The runtime then runs [x] on the
+      caller's own stack, so [true] must be an exclusive claim: no pop
+      or steal may ever return that entry.  On [false] every queued
+      task is still queued, in the same order, but one may have been
+      out of the queue for a moment; the caller bumps the sub-pool's
+      park epoch, so that a sibling that swept in that window re-sweeps
+      before it sleeps.  A policy whose owner end is not LIFO may
+      always return [false]; {!packing} and {!priority} do. *)
+
   val steal : t -> slot:int -> rng:(unit -> int) -> task option
   (** Take a task another member made runnable ([slot >= 0] skips the
       caller's own slot), or hand one to a foreign worker
@@ -88,6 +100,7 @@ type instance = {
   i_push : slot:int -> prio:int -> task -> unit;
   i_push_front : slot:int -> prio:int -> task -> unit;
   i_pop : slot:int -> task option;
+  i_take : slot:int -> task -> bool;
   i_steal : slot:int -> rng:(unit -> int) -> task option;
   i_steal_batch :
     slot:int -> rng:(unit -> int) -> max:int -> spill:(task -> unit) -> task option;

@@ -295,6 +295,63 @@ let spawn_accounting_smoke ~rounds ~burst =
   Printf.printf "spawn accounting: %d/%d spawns counted\n%!" st.Fiber.st_spawned
     spawned
 
+(* ------------------------------------------------------------------ *)
+(* 7. Work-first joins, exactly once.  On a 2-domain [ws] pool, every
+   child of a fork–join tree is either taken back by its joiner and run
+   inline or started as a fiber by a worker that popped or stole it —
+   never both, never neither.  Each child body bumps its own counter;
+   every counter must read exactly 1, and their sum must equal
+   [st_spawned].  Uneven leaf work and the odd yield keep the thief busy
+   raiding the deque the joiners take back from. *)
+
+let join_exactly_once ~rounds ~depth =
+  let pool = Fiber.make (Fiber.Config.make ~domains:2 ()) in
+  let nodes = (1 lsl (depth + 1)) - 1 in
+  let total = ref 0 in
+  for round = 1 to rounds do
+    let runs = Array.init nodes (fun _ -> Atomic.make 0) in
+    (* Node [i] spawns its children [2i+1] and [2i+2] and joins them
+       newest-first; the root is not spawned. *)
+    let rec node i d =
+      if d = 0 then begin
+        let acc = ref i in
+        for _ = 1 to (i + round) mod 5 * 400 do
+          acc := (!acc * 31) land 0xffff
+        done;
+        if i mod 61 = 0 then Fiber.yield ();
+        ignore (Sys.opaque_identity !acc)
+      end
+      else begin
+        let child c =
+          Fiber.spawn (fun () ->
+              Atomic.incr runs.(c);
+              node c (d - 1))
+        in
+        let l = child ((2 * i) + 1) in
+        let r = child ((2 * i) + 2) in
+        Fiber.await r;
+        Fiber.await l
+      end
+    in
+    Fiber.run pool (fun () -> node 0 depth);
+    Array.iteri
+      (fun i c ->
+        let c = Atomic.get c in
+        let expect = if i = 0 then 0 else 1 in
+        if c <> expect then
+          fail "join exactly-once: round %d child %d ran %d times" round i c;
+        total := !total + c)
+      runs
+  done;
+  let st = List.hd (Fiber.stats pool) in
+  Fiber.shutdown pool;
+  if st.Fiber.st_spawned <> !total then
+    fail "join exactly-once: %d child runs, st_spawned = %d" !total
+      st.Fiber.st_spawned;
+  Printf.printf
+    "join exactly-once: %d children over %d trees ran once each, %d local steals\n%!"
+    !total rounds st.Fiber.st_local_steals
+
 let () =
   deque_stress ~stealers:3 ~items:30_000;
   park_hammer ~domains:3 ~rounds:400;
@@ -302,4 +359,5 @@ let () =
   stats_sampler_smoke ~domains:3 ~rounds:150;
   serve_span_smoke ();
   spawn_accounting_smoke ~rounds:25 ~burst:16;
+  join_exactly_once ~rounds:200 ~depth:9;
   print_endline "fiber-smoke: OK"

@@ -276,6 +276,200 @@ let test_overflow_attribution () =
                       victim n)
                 s.ss_pairs))
 
+(* --- Work-first joins ------------------------------------------------ *)
+
+type _ Effect.t += Probe : int Effect.t
+
+(* [Fiber.await] under a handler for [Probe], which answers 41.  A child
+   that performs [Probe] reaches this handler only if it runs inline,
+   inside the joiner's fiber; run as a fiber of its own, its [Probe] is
+   unhandled and [await] re-raises [Effect.Unhandled]. *)
+let await_probing p =
+  Effect.Deep.try_with Fiber.await p
+    {
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Probe ->
+              Some (fun (k : (a, _) Effect.Deep.continuation) -> Effect.Deep.continue k 41)
+          | _ -> None);
+    }
+
+let test_inline_child_runs_in_joiner () =
+  (* One worker: the child is on top of the only deque at the join. *)
+  with_pool ~domains:1 (fun pool ->
+      let r =
+        Fiber.run pool (fun () -> await_probing (Fiber.spawn (fun () -> Effect.perform Probe + 1)))
+      in
+      Alcotest.(check int) "child saw the joiner's handler" 42 r)
+
+let test_inline_child_raises () =
+  with_pool ~domains:1 (fun pool ->
+      let r =
+        Fiber.run pool (fun () ->
+            let p =
+              Fiber.spawn (fun () ->
+                  if Effect.perform Probe = 41 then raise Not_found;
+                  0)
+            in
+            match await_probing p with
+            | _ -> "returned"
+            | exception Not_found -> (
+                (* The outcome is recorded: a second await re-raises too. *)
+                match Fiber.await p with _ -> "returned" | exception Not_found -> "raised"))
+      in
+      Alcotest.(check string) "await re-raises" "raised" r)
+
+let test_inline_child_yields () =
+  with_pool ~domains:1 (fun pool ->
+      let r, other_ran =
+        Fiber.run pool (fun () ->
+            let flag = Atomic.make false in
+            let other = Fiber.spawn (fun () -> Atomic.set flag true) in
+            let child =
+              Fiber.spawn (fun () ->
+                  (* Each yield suspends the joiner with the child; the
+                     worker runs [other] meanwhile. *)
+                  while not (Atomic.get flag) do
+                    Fiber.yield ()
+                  done;
+                  Effect.perform Probe + 1)
+            in
+            let r = await_probing child in
+            Fiber.await other;
+            (r, Atomic.get flag))
+      in
+      Alcotest.(check int) "inline child result" 42 r;
+      Alcotest.(check bool) "other fiber ran during the yields" true other_ran)
+
+let test_inline_child_blocks_on_mutex () =
+  with_pool ~domains:1 (fun pool ->
+      let r, log =
+        Fiber.run pool (fun () ->
+            let m = Fiber.Fsync.Mutex.create () in
+            let log = ref [] in
+            let locked = Atomic.make false and release = Atomic.make false in
+            let holder =
+              Fiber.spawn (fun () ->
+                  Fiber.Fsync.Mutex.lock m;
+                  Atomic.set locked true;
+                  while not (Atomic.get release) do
+                    Fiber.yield ()
+                  done;
+                  log := "holder unlocks" :: !log;
+                  Fiber.Fsync.Mutex.unlock m)
+            in
+            while not (Atomic.get locked) do
+              Fiber.yield ()
+            done;
+            let child =
+              Fiber.spawn (fun () ->
+                  Atomic.set release true;
+                  (* Blocks: the joiner is suspended with the child until
+                     the holder unlocks. *)
+                  Fiber.Fsync.Mutex.with_lock m (fun () -> log := "child locked" :: !log);
+                  Effect.perform Probe + 1)
+            in
+            let r = await_probing child in
+            Fiber.await holder;
+            (r, List.rev !log))
+      in
+      Alcotest.(check int) "inline child result" 42 r;
+      Alcotest.(check (list string)) "lock order" [ "holder unlocks"; "child locked" ] log)
+
+(* Two workers.  A blocker keeps worker 1 busy so the child cannot be
+   stolen and runs inline on worker 0; the child then spawns a grandchild
+   and frees worker 1, which steals it.  The child's await on the stolen
+   grandchild suspends the joiner, and both resume when it resolves. *)
+let test_inline_child_awaits_stolen_grandchild () =
+  with_pool ~domains:2 (fun pool ->
+      let r, joiner_dom, grand_dom =
+        Fiber.run pool (fun () ->
+            let started = Atomic.make false and release = Atomic.make false in
+            let blocker =
+              Fiber.spawn (fun () ->
+                  Atomic.set started true;
+                  while not (Atomic.get release) do
+                    Domain.cpu_relax ()
+                  done)
+            in
+            while not (Atomic.get started) do
+              Domain.cpu_relax ()
+            done;
+            let grand_dom = ref None in
+            let child =
+              Fiber.spawn (fun () ->
+                  let g_started = Atomic.make false and waiting = Atomic.make false in
+                  let g =
+                    Fiber.spawn (fun () ->
+                        grand_dom := Some (Domain.self ());
+                        Atomic.set g_started true;
+                        while not (Atomic.get waiting) do
+                          Domain.cpu_relax ()
+                        done;
+                        Unix.sleepf 0.002;
+                        10)
+                  in
+                  Atomic.set release true;
+                  while not (Atomic.get g_started) do
+                    Domain.cpu_relax ()
+                  done;
+                  Atomic.set waiting true;
+                  Fiber.await g + Effect.perform Probe)
+            in
+            let joiner_dom = Domain.self () in
+            let r = await_probing child in
+            Fiber.await blocker;
+            (r, joiner_dom, !grand_dom))
+      in
+      Alcotest.(check int) "grandchild + probe" 51 r;
+      match grand_dom with
+      | None -> Alcotest.fail "grandchild never ran"
+      | Some d ->
+          Alcotest.(check bool) "grandchild was stolen" true
+            ((d :> int) <> (joiner_dom :> int)))
+
+(* [packing] and [priority] have FIFO owner ends, so [take] always
+   fails there and every join suspends as before. *)
+let test_pfib_fifo_schedulers () =
+  let rec pfib n =
+    if n < 12 then sfib n
+    else
+      let a = Fiber.spawn (fun () -> pfib (n - 1)) in
+      let b = pfib (n - 2) in
+      Fiber.await a + b
+  and sfib n = if n < 2 then n else sfib (n - 1) + sfib (n - 2) in
+  List.iter
+    (fun sched ->
+      let pool =
+        Fiber.make
+          (Fiber.Config.make ~domains:2
+             ~subpools:[ Fiber.Config.subpool ~sched ~name:"main" ~workers:[ 0; 1 ] () ]
+             ())
+      in
+      Fun.protect
+        ~finally:(fun () -> Fiber.shutdown pool)
+        (fun () ->
+          Alcotest.(check int)
+            (Fiber.Scheduler.name sched ^ " pfib 20")
+            6765
+            (Fiber.run pool (fun () -> pfib 20))))
+    [ Fiber.Scheduler.packing; Fiber.Scheduler.priority ]
+
+let test_parallel_map_order_2_domains () =
+  with_pool ~domains:2 (fun pool ->
+      let xs = List.init 500 Fun.id in
+      let f x =
+        (* Uneven work, so thieves take some elements and not others. *)
+        let acc = ref x in
+        for _ = 1 to (x mod 7) * 200 do
+          acc := (!acc * 31) land 0xffff
+        done;
+        (x, !acc)
+      in
+      let r = Fiber.run pool (fun () -> Fiber.parallel_map f xs) in
+      Alcotest.(check (list (pair int int))) "input order" (List.map f xs) r)
+
 let test_deque_basics () =
   let d = Fiber.Deque.create () in
   Fiber.Deque.push d 1;
@@ -308,4 +502,15 @@ let suite =
       test_priority_targeted_prio_spawn;
     Alcotest.test_case "overflow attribution" `Quick test_overflow_attribution;
     Alcotest.test_case "deque basics" `Quick test_deque_basics;
+    Alcotest.test_case "inline child runs in the joiner" `Quick
+      test_inline_child_runs_in_joiner;
+    Alcotest.test_case "inline child raises" `Quick test_inline_child_raises;
+    Alcotest.test_case "inline child yields" `Quick test_inline_child_yields;
+    Alcotest.test_case "inline child blocks on Fsync.Mutex" `Quick
+      test_inline_child_blocks_on_mutex;
+    Alcotest.test_case "inline child awaits stolen grandchild" `Quick
+      test_inline_child_awaits_stolen_grandchild;
+    Alcotest.test_case "pfib on packing and priority" `Quick test_pfib_fifo_schedulers;
+    Alcotest.test_case "parallel_map order (2 domains)" `Quick
+      test_parallel_map_order_2_domains;
   ]
