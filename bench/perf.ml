@@ -285,7 +285,7 @@ let fiber_forkjoin ~domains ~scale () =
 
 (* Yield ping-pong: two fibers alternating through the yield re-queue
    (push_front into the CAS-swapped segment) — the preemption
-   descheduling path without a ticker. *)
+   descheduling path without a quantum. *)
 let fiber_pingpong ~domains ~scale () =
   let pool = Fiber.make (Fiber.Config.make ~domains ()) in
   let yields = 40_000 * scale in
@@ -301,11 +301,11 @@ let fiber_pingpong ~domains ~scale () =
   Fiber.shutdown pool;
   float_of_int (2 * yields)
 
-(* Preemption overhead with the real ticker armed: greedy fibers
-   crossing a [check] safe point per iteration.  ops = iterations, so
-   ns/op is the per-safe-point cost including any preemption yields the
-   1 ms ticker induces — the LibPreemptible-style "how much does
-   preemptibility cost the hot loop" number. *)
+(* Preemption overhead with a 1 ms quantum: greedy fibers crossing a
+   [check] safe point per iteration.  ops = iterations, so ns/op is the
+   per-safe-point cost including the workers' clock reads and the
+   preemption yields their quanta induce — the LibPreemptible-style
+   "how much does preemptibility cost the hot loop" number. *)
 let fiber_preempt ~domains ~scale () =
   let pool =
     Fiber.make (Fiber.Config.make ~domains ~preempt_interval:0.001 ())
@@ -325,10 +325,10 @@ let fiber_preempt ~domains ~scale () =
   float_of_int (fibers * iters)
 
 (* Telemetry overhead on the same safe-point loop as fiber_preempt_d2:
-   [telemetry:false] is the shipped default — the rings exist but the
-   ticker pays one boolean load per sweep and the fiber-side hooks
+   [telemetry:false] is the shipped default — the rings exist but a
+   quantum expiry pays one boolean load and the fiber-side hooks
    nothing at all; [telemetry:true] snapshots every worker into its
-   time-series ring on the default cadence (every 4th sweep).  The
+   time-series ring on the default cadence (about every 4th quantum).  The
    workload matches fiber_preempt_d2 exactly, so comparing the pair in
    one process isolates what live telemetry costs from machine speed
    (the budget gate below asserts the disabled path). *)
@@ -658,8 +658,8 @@ let recorder_budget_check entries =
    dispatch_telemetry_off runs the exact fiber_preempt_d2 workload on
    a pool whose telemetry rings exist but are disabled, so the
    plain/off ns-per-op ratio measured in one process isolates what the
-   telemetry subsystem's presence costs when off (one boolean load in
-   the ticker, nothing per safe point).  Budget: the disabled path may
+   telemetry subsystem's presence costs when off (one boolean load per
+   quantum expiry, nothing per safe point).  Budget: the disabled path may
    cost at most 2%, i.e. the ratio must stay >= 1/1.02.  Both entries
    run 2 domains, so unlike the 4-core gates this one asserts on
    nearly any host; [Gate]'s single re-measure absorbs loaded-host

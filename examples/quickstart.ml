@@ -17,9 +17,10 @@ let rec par_fib n =
     Fiber.await a + b
 
 let () =
-  (* A pool of workers (domains), with a 5 ms preemption ticker: fibers
+  (* A pool of workers (domains), with a 5 ms preemption quantum: fibers
      that call [Fiber.check] at safe points get descheduled when their
-     time slice is up — the paper's preemption model, GHC-style. *)
+     worker's time slice is up — the paper's preemption model,
+     GHC-style. *)
   let pool = Fiber.make (Fiber.Config.make ~preempt_interval:5e-3 ()) in
   Printf.printf "fiber pool: %d worker domain(s)\n%!" (Fiber.domains pool);
 
@@ -43,7 +44,7 @@ let () =
         Fiber.spawn (fun () ->
             let t0 = Unix.gettimeofday () in
             while Unix.gettimeofday () -. t0 < 0.05 do
-              Fiber.check () (* safe point: yields if the ticker fired *)
+              Fiber.check () (* safe point: yields once the quantum is over *)
             done)
       in
       let shorts = List.init 16 (fun _ -> Fiber.spawn (fun () -> Atomic.incr done_short)) in

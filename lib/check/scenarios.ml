@@ -611,12 +611,18 @@ let serve_overload_prog ?(racy = false) env =
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry ring model: the checker-level counterpart of the live
-   telemetry sampler (lib/core/telemetry.ml + the ticker hook in
-   lib/fiber/sched.ml).  A sampler ULT feeds one worker's ring a
-   deterministic sequence — including hostile inputs (negative depth,
-   util outside [0,1]) the sampler is specified to clamp — past the
-   ring's capacity, while a reader ULT polls [series] across schedule
-   points, modelling the display thread.  The oracle asserts the
+   telemetry sampler (lib/core/telemetry.ml + the sweep in
+   lib/fiber/sched.ml).  The model's single sampler ULT stands for the
+   shipped sweep, which different workers take in turn: a worker must
+   win an atomic token (CAS false -> true) to sweep and releases it
+   with an atomic store after its last write, so at most one worker
+   writes the rings at a time and each sweep happens-after the one
+   before it.  The rings therefore see one serialized writer, as in the
+   model; the token hand-off itself is not modelled.  The sampler ULT
+   feeds one worker's ring a deterministic sequence — including hostile
+   inputs (negative depth, util outside [0,1]) the sampler is specified
+   to clamp — past the ring's capacity, while a reader ULT polls
+   [series] across schedule points, modelling the display thread.  The oracle asserts the
    wraparound contract: every mid-run read sees monotone [p_seq] and
    clamped fields, the final series is exactly the last [capacity]
    samples, and replaying the same input into a fresh instance

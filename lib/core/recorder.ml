@@ -60,11 +60,10 @@ let ev_pool_steal = 22
    same-sub-pool steal, [a <> b] a cross-sub-pool overflow steal. *)
 
 let ev_quantum_change = 23
-(* a = worker id, b = new preemption quantum in ns.  Emitted into the
-   global ring by the real fiber runtime's adaptive ticker
-   (lib/fiber/sched.ml) whenever the Quantum controller moves a
-   worker's quantum — the ticker is the only writer of the global
-   ring there, so worker-local rings stay single-writer. *)
+(* a = worker id, b = new preemption quantum in ns.  Emitted by a
+   worker of an adaptive real fiber pool (lib/fiber/sched.ml) into its
+   own ring, at the quantum expiry where the Quantum controller moved
+   its quantum. *)
 
 (* Per-request span events, emitted by the serving workload (lib/serve)
    through [Fiber.emit_flight].  [a] is always the request id; every
@@ -77,7 +76,7 @@ let ev_req_enqueue = 25 (* a = request id (submitted to the pool) *)
 
 let ev_req_dispatch = 26 (* a = request id (first instruction of the body) *)
 
-let ev_req_preempt = 27 (* a = request id (preemption flag observed; yielding) *)
+let ev_req_preempt = 27 (* a = request id (quantum over; yielding) *)
 
 let ev_req_resume = 28 (* a = request id (running again after the yield) *)
 

@@ -93,10 +93,10 @@ val ev_pool_steal : int
     same-sub-pool steal, [a <> b] cross-sub-pool overflow). *)
 
 val ev_quantum_change : int
-(** Real fiber runtime, adaptive ticker: a worker's preemption quantum
+(** Real fiber runtime, adaptive pool: a worker's preemption quantum
     moved ([a] = worker id, [b] = new quantum in nanoseconds).  Emitted
-    into the {e global} ring — the ticker thread is its only writer
-    there, keeping every worker ring single-writer. *)
+    by that worker at its own quantum expiry, into its own ring, so
+    every ring stays single-writer. *)
 
 (** {2 Per-request span codes}
 
@@ -120,8 +120,8 @@ val ev_req_dispatch : int
 (** First instruction of the request body ([a] = request id). *)
 
 val ev_req_preempt : int
-(** Request observed its worker's preemption flag and is about to
-    yield ([a] = request id). *)
+(** Request found its worker's quantum over and is about to yield
+    ([a] = request id). *)
 
 val ev_req_resume : int
 (** Request running again after a preemption yield ([a] = request

@@ -1,12 +1,13 @@
-(* Live telemetry: ticker-driven time-series sampling of per-worker
-   scheduler state, plus sliding-window sojourn sketches fed from the
-   serving workload.  The write discipline matches [Recorder]: callers
-   guard on [t.on] (one boolean load when disabled); an enabled sample
-   is one plain store per field into preallocated per-worker rings —
-   no allocation, no locks, no atomics.  Each ring has a single
-   writer: the ticker thread writes every [sample] field, and each
-   worker owns its own window sketches through [observe].  Readers
-   (the live view, tests) reconstruct series from [count mod capacity]
+(* Live telemetry: time-series sampling of per-worker scheduler state,
+   plus sliding-window sojourn sketches fed from the serving workload.
+   The write discipline matches [Recorder]: callers guard on [t.on]
+   (one boolean load when disabled); an enabled sample is one plain
+   store per field into preallocated per-worker rings — no allocation,
+   no locks, no atomics.  Each ring has a single writer at a time: the
+   runtime's sweep writes every [sample] field (the fiber runtime hands
+   the sweep from worker to worker under an atomic token), and each
+   worker owns its own window sketches through [observe].  Readers (the
+   live view, tests) reconstruct series from [count mod capacity]
    exactly like [Recorder.ring_events]; a torn read can show a point
    mid-overwrite at the wrap boundary, which a 1 Hz display tolerates
    by construction. *)
@@ -183,7 +184,7 @@ let clear t =
 (* ------------------------------------------------------------------ *)
 (* Window feed.  [observe] is called from the owning worker only (its
    windows are single-writer); [rotate_windows] is called from the
-   ticker, racing benignly with [observe] — a sample added during a
+   sweep, racing benignly with [observe] — a sample added during a
    rotation lands in either the retiring or the fresh histogram, both
    of which the next [sketch] covers. *)
 

@@ -1,5 +1,5 @@
 (** Live telemetry: fixed-capacity per-worker time-series rings of
-    scheduler state, sampled by the runtime's preemption ticker every N
+    scheduler state, sampled by the runtime about every N preemption
     quanta, plus sliding-window sojourn quantile sketches fed by the
     serving workload.
 
@@ -11,9 +11,9 @@
     Overhead discipline matches the recorder exactly: every write path
     is guarded by one boolean load when disabled; an enabled {!sample}
     is one plain store per field into preallocated arrays — no
-    allocation, locks or atomics.  Each per-worker ring has a single
-    writer (the ticker); each worker's window sketches are written only
-    by that worker ({!observe}).  Concurrent readers may see a torn
+    allocation, locks or atomics.  Each per-worker ring has one writer
+    at a time (the runtime's sweep); each worker's window sketches are
+    written only by that worker ({!observe}).  Concurrent readers may see a torn
     point at the wrap boundary — acceptable for a display refreshed at
     1 Hz, and exact once the writer is quiescent. *)
 
@@ -83,8 +83,8 @@ val sample :
   util:float ->
   unit
 (** Store one point in [worker]'s ring.  No-op while disabled (the
-    ticker also checks {!enabled} first, so the disabled runtime pays
-    one boolean load per sweep and nothing per worker).  Negative
+    runtime also checks {!enabled} first, so the disabled runtime pays
+    one boolean load per quantum expiry).  Negative
     counter transients — the sampler reads racy plain counters — are
     clamped to 0, and [util] to [\[0,1\]], so stored points are always
     well-formed. *)
@@ -115,7 +115,7 @@ val observe : t -> worker:int -> channel:int -> float -> unit
     out-of-range channel. *)
 
 val rotate_windows : t -> unit
-(** Rotate every window (ticker-driven, every few sample sweeps).
+(** Rotate every window (sweep-driven, every few sample sweeps).
     Races benignly with {!observe}: a concurrent sample lands in one
     of the two histograms the next {!sketch} still covers. *)
 

@@ -83,7 +83,7 @@ type steal_split = {
           for dumps predating batched raids. *)
 }
 
-(* Adaptive-quantum attribution (real fiber runtime dumps): the ticker
+(* Adaptive-quantum attribution (real fiber runtime dumps): each worker
    emits [ev_quantum_change] with (worker id, new quantum in ns) each
    time the controller moves a worker's quantum, so the record shows
    how far and how often preemption tightened under load. *)
@@ -242,8 +242,9 @@ let steal_split_of events =
       }
 
 let quantum_split_of events =
-  (* Per worker: (changes, min, max, last).  Events come from the single
-     ticker writer, so per-worker order survives the ring merge. *)
+  (* Per worker: (changes, min, max, last).  A worker emits its own
+     changes into its own ring, so per-worker order survives the ring
+     merge. *)
   let tbl = Hashtbl.create 8 in
   let shrinks = ref 0 and grows = ref 0 in
   Array.iter

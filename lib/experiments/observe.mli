@@ -57,9 +57,9 @@ type steal_split = {
 (** Adaptive-quantum attribution, reconstructed from
     [Recorder.ev_quantum_change] events in dumps saved by an adaptive
     fiber pool ([Config.adaptive]).  Each event carries (worker id, new
-    quantum in ns); per-worker change ordering is the ticker's emission
-    order (single writer).  See docs/observability.md for the event
-    schema. *)
+    quantum in ns); each worker emits its own changes into its own ring,
+    so per-worker change ordering is its emission order.  See
+    docs/observability.md for the event schema. *)
 type quantum_row = {
   qr_worker : int;
   qr_changes : int;

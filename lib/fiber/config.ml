@@ -68,7 +68,7 @@ let validate t =
     reject "telemetry_every" (string_of_int t.telemetry_every) "positive";
   if t.telemetry_channels < 0 then
     reject "telemetry_channels" (string_of_int t.telemetry_channels) ">= 0";
-  (* The sampler rides the preemption ticker; without a ticker there is
+  (* The sweep rides quantum expiries; without a quantum there is
      nothing to drive it. *)
   if t.telemetry_enabled && t.preempt_interval = None then
     reject "telemetry" "true" "combined with preempt_interval";

@@ -35,11 +35,11 @@ type t = {
   recorder_capacity : int;
   telemetry_enabled : bool;
       (** live per-worker time-series sampling
-          ({!Preempt_core.Telemetry}) driven by the preemption ticker;
+          ({!Preempt_core.Telemetry}) taken at quantum expiries;
           requires [preempt_interval] *)
   telemetry_capacity : int;  (** points per worker ring *)
   telemetry_every : int;
-      (** sample every N ticker sweeps (≈ every N quanta) *)
+      (** sample about every N × [preempt_interval] seconds *)
   telemetry_channels : int;
       (** sliding-window sojourn sketches per worker (the serving
           workload uses one per service class) *)
@@ -59,16 +59,17 @@ val subpool :
     [Domain.recommended_domain_count () - 1] (at least 1); [subpools]
     defaults to a single ["default"] sub-pool spanning every worker
     (the shape of the historical flat pool); [preempt_interval]
-    (seconds, positive) arms the preemption ticker; [adaptive] (default
-    [false]) switches the ticker from one fixed global interval to
-    per-worker quanta driven by the pure {!Quantum} controller, within
-    [[quantum_min, quantum_max]] (both positive; defaults
-    [preempt_interval /. 8.] and [preempt_interval]); [recorder]
-    (default off) arms the flight recorder with [recorder_capacity]
-    events per worker ring (default 4096); [telemetry] (default off,
-    requires [preempt_interval]) arms live time-series sampling with
-    [telemetry_capacity] points per worker ring (default 256), sampled
-    every [telemetry_every] ticker sweeps (default 4), with
+    (seconds, positive) is the quantum every worker times for itself at
+    its {!Sched.check} points; [adaptive] (default [false]) lets each
+    worker's quantum move with its sub-pool's backlog, driven by the
+    pure {!Quantum} controller, within [[quantum_min, quantum_max]]
+    (both positive; defaults [preempt_interval /. 8.] and
+    [preempt_interval]); [recorder] (default off) arms the flight
+    recorder with [recorder_capacity] events per worker ring (default
+    4096); [telemetry] (default off, requires [preempt_interval]) arms
+    live time-series sampling with [telemetry_capacity] points per
+    worker ring (default 256), sampled about every [telemetry_every] ×
+    [preempt_interval] seconds ([telemetry_every] defaults to 4), with
     [telemetry_channels] sojourn-window sketches per worker (default
     2).
 

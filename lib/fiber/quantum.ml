@@ -6,7 +6,7 @@
    short requests queued behind long ones) and decays geometrically
    back toward the configured base interval once the backlog drains.
 
-   Purity is the point: the ticker thread in [Sched] feeds it live
+   Purity is the point: [Sched]'s expiring workers feed it live
    snapshots, while test_serve feeds it hand-built sequences and pins
    shrink/grow/clamp behaviour with no wall clock or domains involved. *)
 
@@ -47,7 +47,7 @@ let next s =
 
 (* Defaults used when Config leaves the bounds unset: the ceiling is
    the base interval itself and the floor is base/8 — one eighth keeps
-   the adaptive ticker's extra wakeups bounded while still cutting the
+   the extra preemptions bounded while still cutting the
    worst-case hold time of a long fiber by ~an order of magnitude. *)
 let default_min ~base = base /. 8.0
 

@@ -2,10 +2,11 @@
     queueing-pressure snapshot to the next per-worker quantum
     (LibPreemptible-style adaptive user-space scheduling).
 
-    The ticker thread of an adaptive pool ({!Config.make}
-    [~adaptive:true]) calls {!next} once per expired per-worker
-    deadline; because the controller is a pure function of [stats],
-    its shrink/grow/clamp behaviour is pinned deterministically by
+    Each worker of an adaptive pool ({!Config.make} [~adaptive:true])
+    calls {!next} at every expiry of its own quantum, from the
+    {!Sched.check} that found the quantum over.  Because the controller
+    is a pure function of [stats], its shrink/grow/clamp behaviour is
+    pinned deterministically by
     [test/test_serve.ml] with hand-built snapshot sequences — no wall
     clock or domains involved.  Re-exported as [Serve.Quantum]. *)
 

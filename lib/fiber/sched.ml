@@ -1,21 +1,22 @@
-(* Worker records are written from two sides: the owner bumps
-   [rng_state] on every steal probe while the ticker thread sets
-   [preempt] once per interval.  Both get their own cache-line
-   neighborhood: the record is padded past 64 bytes so adjacent workers
-   in [pool.workers] do not share a line, and each [preempt] atomic is
-   allocated with a live filler ([pad_keep]) between it and the next
-   worker's atomic so the flags do not end up packed into one line
-   either (the filler is reachable from the record, so compaction cannot
-   drop it and re-pack the atomics). *)
+(* Worker records are owner-written: the owner runs its own quantum
+   clock ([w_countdown], [w_deadline], [w_quantum]), bumps [rng_state]
+   on every steal probe and keeps its counters; other domains only read
+   them racily ([stats], the telemetry sweep).  The record is padded
+   past 64 bytes so adjacent workers in [pool.workers] do not share a
+   cache line. *)
 type worker = {
   wid : int;
   w_sp : int; (* owning sub-pool id *)
   w_slot : int; (* index within the sub-pool's scheduler *)
-  preempt : bool Atomic.t; (* set by the ticker, cleared at safe points *)
-  (* Current preemption quantum in seconds.  Written only by the ticker
-     thread (at most once per quantum expiry), read racily by [stats];
-     a stale read is fine for diagnostics.  Fixed-interval pools keep it
-     pinned at [preempt_interval]; tickerless pools at 0. *)
+  (* Self-timed quanta (see [check]): the safe points left before the
+     next clock read, and the wall-clock end of the current quantum. *)
+  mutable w_countdown : int;
+  mutable w_deadline : float;
+  (* Current preemption quantum in seconds, moved only by an adaptive
+     pool's expiries and read racily by [stats] and the telemetry
+     sweep; a stale read is fine for diagnostics.  Fixed-interval pools
+     keep it pinned at [preempt_interval]; pools without preemption
+     at 0. *)
   mutable w_quantum : float;
   mutable rng_state : int;
   (* Owner-written counters, aggregated racily by [stats] (stale reads
@@ -37,7 +38,6 @@ type worker = {
   mutable w_parks : int;
   mutable w_wakes : int;
   mutable w_idle_s : float;
-  pad_keep : int array;
   mutable pad0 : int;
   mutable pad1 : int;
   mutable pad2 : int;
@@ -71,12 +71,11 @@ type pool = {
   shutdown : bool Atomic.t;
   preempt_interval : float option;
   quantum_bounds : (float * float) option; (* (min, max); Some iff adaptive *)
-  mutable ticker : Thread.t option;
   preempt_count : int Atomic.t;
   recorder : Preempt_core.Recorder.t;
   rec_t0 : float; (* wall-clock origin of recorder timestamps *)
   telemetry : Preempt_core.Telemetry.t;
-  tel_every : int; (* sample every N ticker sweeps *)
+  tel_sweep : float -> unit; (* offered the time at every expiry *)
 }
 
 (* Promise state machine: one atomic word, CAS [Pending / Claimable ->
@@ -442,13 +441,63 @@ let yield () = Effect.perform Yield
 
 let suspend_or decide = Effect.perform (Suspend_or decide)
 
+(* ------------------------------------------------------------------ *)
+(* Self-timed quanta.  There is no timer: each worker keeps its own
+   deadline and looks at the clock from its own safe points.  [check]
+   counts down [stride] safe points between clock reads, so a
+   preemption comes at most [stride] safe points after the deadline.  A
+   clock read (about 42 ns) costs about one greedy step (30–40 ns), so
+   the stride spreads it to under 1 ns per safe point.  A pool without
+   [preempt_interval] never reads the clock here. *)
+let stride = 64
+
+(* [w]'s quantum ended at [now]: pick the next one ([base], or the
+   [Quantum] controller's choice from the sub-pool's run-queue depth on
+   an adaptive pool, recorded into [w]'s own ring when it moves), count
+   the preemption, offer the telemetry sweep the time, and yield. *)
+let expire pool w ~base now =
+  let q =
+    match pool.quantum_bounds with
+    | None -> base
+    | Some (q_min, q_max) ->
+        let sp = pool.subpools.(w.w_sp) in
+        let q =
+          Quantum.next
+            {
+              Quantum.q_current = w.w_quantum;
+              q_base = base;
+              q_min;
+              q_max;
+              q_depth = sp.inst.i_length ();
+              q_members = Array.length sp.sp_members;
+            }
+        in
+        if q <> w.w_quantum then begin
+          let r = pool.recorder in
+          if Preempt_core.Recorder.enabled r then
+            Preempt_core.Recorder.emit r w.wid (now -. pool.rec_t0)
+              Preempt_core.Recorder.ev_quantum_change w.wid
+              (int_of_float (q *. 1e9));
+          w.w_quantum <- q
+        end;
+        q
+  in
+  w.w_deadline <- now +. q;
+  Atomic.incr pool.preempt_count;
+  if Preempt_core.Telemetry.enabled pool.telemetry then pool.tel_sweep now;
+  yield ()
+
 let check () =
   let pool, w = self () in
-  (* Fast path: one atomic load. *)
-  if Atomic.get w.preempt then begin
-    Atomic.set w.preempt false;
-    Atomic.incr pool.preempt_count;
-    yield ()
+  let n = w.w_countdown - 1 in
+  if n > 0 then w.w_countdown <- n
+  else begin
+    w.w_countdown <- stride;
+    match pool.preempt_interval with
+    | None -> ()
+    | Some base ->
+        let now = Unix.gettimeofday () in
+        if now >= w.w_deadline then expire pool w ~base now
   end
 
 (* ------------------------------------------------------------------ *)
@@ -522,115 +571,53 @@ let worker_loop pool w ~until =
 let domain_main pool w = worker_loop pool w ~until:(fun () -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry sampling.  The sampler rides the preemption ticker: every
-   [pool.tel_every] sweeps it stores one point per worker into the
-   telemetry rings (making the ticker thread the rings' single
-   writer).  All inputs are racy plain-counter reads — Telemetry
-   clamps transients — and utilization is derived by differencing each
-   worker's cumulative park-idle seconds against the previous sweep,
-   using sampler-private state.  Every [tel_rotate] samples the
-   sliding sojourn windows rotate, so the rolling sketches cover
-   between one and two rotation periods. *)
+(* Telemetry sweep.  Every expiry offers the sweep the time; about every
+   [period] seconds one expiring worker wins [token] and stores one
+   point per worker, itself and every other (a worker that never
+   reaches a safe point, like serve's injector, is still sampled).  The
+   token makes the winner the rings' and the windows' rotator's only
+   writer, and its release hands the sweep state below to the next
+   winner.  All inputs are racy plain-counter reads (Telemetry clamps
+   transients); utilization is derived by differencing each worker's
+   cumulative park-idle seconds against the previous sweep.  Every
+   [tel_rotate] sweeps the sliding sojourn windows rotate, so the
+   rolling sketches cover between one and two rotation periods. *)
 
 let tel_rotate = 32
 
-let make_sampler pool =
-  let tel = pool.telemetry in
-  let n = Array.length pool.workers in
-  let prev_idle = Array.make n 0.0 in
-  let prev_ts = ref (Unix.gettimeofday ()) in
-  let samples = ref 0 in
-  fun () ->
-    let now = Unix.gettimeofday () in
-    let ts = now -. pool.rec_t0 in
-    let dt = now -. !prev_ts in
-    Array.iter
-      (fun w ->
-        let sp = pool.subpools.(w.w_sp) in
-        let idle = w.w_idle_s in
-        let util =
-          if dt <= 0.0 then 1.0 else 1.0 -. ((idle -. prev_idle.(w.wid)) /. dt)
-        in
-        prev_idle.(w.wid) <- idle;
-        Preempt_core.Telemetry.sample tel ~worker:w.wid ~ts
-          ~depth:(sp.inst.i_length ())
-          ~steals_in:(w.w_local_steals + w.w_overflow_in)
-          ~steals_out:(Atomic.get sp.sp_stolen_away)
-          ~parks:w.w_parks ~wakes:w.w_wakes ~quantum:w.w_quantum ~util)
-      pool.workers;
-    prev_ts := now;
-    incr samples;
-    if !samples mod tel_rotate = 0 then Preempt_core.Telemetry.rotate_windows tel
-
-let ticker_loop pool interval =
-  let tel = pool.telemetry in
-  let sampler = make_sampler pool in
+let make_sweep ~workers ~subpools ~tel ~t0 ~period =
+  let token = Atomic.make false in
+  let due = ref (t0 +. period) in
+  let prev_ts = ref t0 in
+  let prev_idle = Array.make (Array.length workers) 0.0 in
   let sweeps = ref 0 in
-  while not (Atomic.get pool.shutdown) do
-    Thread.delay interval;
-    Array.iter (fun w -> Atomic.set w.preempt true) pool.workers;
-    incr sweeps;
-    if Preempt_core.Telemetry.enabled tel && !sweeps mod pool.tel_every = 0 then
-      sampler ()
-  done
-
-(* Adaptive ticker: each worker keeps its own expiry deadline.  When a
-   deadline passes, the worker is flagged for preemption and the pure
-   [Quantum] controller picks its next quantum from the current
-   run-queue depth of the worker's sub-pool (external submissions
-   included — [i_length] counts them), shrinking under backlog and
-   decaying back toward [interval] when idle.  Deadlines are
-   ticker-thread private; only the resulting [w_quantum] is published
-   (for [stats]) and an [ev_quantum_change] recorded per move.  The
-   sleep between sweeps tracks the nearest deadline, floored at a
-   quarter of the adaptive floor so a deeply-shrunk pool does not turn
-   the ticker into a spin loop. *)
-let ticker_adaptive pool interval ~q_min ~q_max =
-  let n = Array.length pool.workers in
-  let now0 = Unix.gettimeofday () in
-  let deadline = Array.make n (now0 +. interval) in
-  let r = pool.recorder in
-  let tel = pool.telemetry in
-  let sampler = make_sampler pool in
-  let sweeps = ref 0 in
-  while not (Atomic.get pool.shutdown) do
-    let now = Unix.gettimeofday () in
-    let nearest = ref infinity in
-    Array.iteri
-      (fun i w ->
-        if now >= deadline.(i) then begin
-          Atomic.set w.preempt true;
-          let sp = pool.subpools.(w.w_sp) in
-          let q =
-            Quantum.next
-              {
-                Quantum.q_current = w.w_quantum;
-                q_base = interval;
-                q_min;
-                q_max;
-                q_depth = sp.inst.i_length ();
-                q_members = Array.length sp.sp_members;
-              }
-          in
-          if q <> w.w_quantum then begin
-            if Preempt_core.Recorder.enabled r then
-              Preempt_core.Recorder.emit r
-                (Preempt_core.Recorder.global_ring r)
-                (now -. pool.rec_t0)
-                Preempt_core.Recorder.ev_quantum_change w.wid
-                (int_of_float (q *. 1e9));
-            w.w_quantum <- q
-          end;
-          deadline.(i) <- now +. q
-        end;
-        if deadline.(i) < !nearest then nearest := deadline.(i))
-      pool.workers;
-    incr sweeps;
-    if Preempt_core.Telemetry.enabled tel && !sweeps mod pool.tel_every = 0 then
-      sampler ();
-    let sleep = !nearest -. Unix.gettimeofday () in
-    Thread.delay (Float.min interval (Float.max (q_min /. 4.0) sleep))
-  done
+  fun now ->
+    if now >= !due && Atomic.compare_and_set token false true then begin
+      (* Re-check: the previous holder may have swept since our read. *)
+      if now >= !due then begin
+        let ts = now -. t0 in
+        let dt = now -. !prev_ts in
+        Array.iter
+          (fun w ->
+            let sp = subpools.(w.w_sp) in
+            let idle = w.w_idle_s in
+            let util =
+              if dt <= 0.0 then 1.0 else 1.0 -. ((idle -. prev_idle.(w.wid)) /. dt)
+            in
+            prev_idle.(w.wid) <- idle;
+            Preempt_core.Telemetry.sample tel ~worker:w.wid ~ts
+              ~depth:(sp.inst.i_length ())
+              ~steals_in:(w.w_local_steals + w.w_overflow_in)
+              ~steals_out:(Atomic.get sp.sp_stolen_away)
+              ~parks:w.w_parks ~wakes:w.w_wakes ~quantum:w.w_quantum ~util)
+          workers;
+        prev_ts := now;
+        due := now +. period;
+        incr sweeps;
+        if !sweeps mod tel_rotate = 0 then Preempt_core.Telemetry.rotate_windows tel
+      end;
+      Atomic.set token false
+    end
 
 let make (cfg : Config.t) =
   (* [Config.make] already validated; re-validate so hand-built records
@@ -675,17 +662,16 @@ let make (cfg : Config.t) =
             ~default:(Quantum.default_max ~base:interval0) )
     else None
   in
+  let t0 = Unix.gettimeofday () in
   let workers =
     Array.init n (fun wid ->
         {
           wid;
           w_sp = sp_of.(wid);
           w_slot = slot_of.(wid);
-          preempt = Atomic.make false;
+          w_countdown = stride;
+          w_deadline = t0 +. interval0;
           w_quantum = interval0;
-          (* Live spacer between consecutive [preempt] atomics; see the
-             [worker] comment. *)
-          pad_keep = Array.make 8 0;
           rng_state = (wid * 7919) + 13;
           w_spawned = 0;
           w_local_steals = 0;
@@ -736,6 +722,10 @@ let make (cfg : Config.t) =
     Preempt_core.Telemetry.set_enabled t cfg.Config.telemetry_enabled;
     t
   in
+  let tel_sweep =
+    make_sweep ~workers ~subpools ~tel:telemetry ~t0
+      ~period:(float_of_int cfg.Config.telemetry_every *. interval0)
+  in
   let pool =
     {
       workers;
@@ -745,25 +735,17 @@ let make (cfg : Config.t) =
       shutdown = Atomic.make false;
       preempt_interval = cfg.Config.preempt_interval;
       quantum_bounds;
-      ticker = None;
       preempt_count = Atomic.make 0;
       recorder;
-      rec_t0 = Unix.gettimeofday ();
+      rec_t0 = t0;
       telemetry;
-      tel_every = cfg.Config.telemetry_every;
+      tel_sweep;
     }
   in
   (* Worker 0 is the caller inside [run]; spawn domains for the rest. *)
   pool.doms <-
     List.init (n - 1) (fun i ->
         Domain.spawn (fun () -> domain_main pool workers.(i + 1)));
-  (match (cfg.Config.preempt_interval, quantum_bounds) with
-  | Some dt, Some (q_min, q_max) ->
-      pool.ticker <-
-        Some (Thread.create (fun () -> ticker_adaptive pool dt ~q_min ~q_max) ())
-  | Some dt, None ->
-      pool.ticker <- Some (Thread.create (fun () -> ticker_loop pool dt) ())
-  | None, _ -> ());
   pool
 
 let domains pool = Array.length pool.workers
@@ -777,15 +759,17 @@ let recorder pool = pool.recorder
 
 let telemetry pool = pool.telemetry
 
-(* True while the current worker's preemption flag is raised, without
-   consuming it: one DLS read plus one atomic load.  Lets a workload
-   bracket the [check ()] it is about to take with span events —
-   benignly racy (a flag raised after the load is simply seen by the
-   next probe). *)
+(* True iff the current worker's quantum has ended: one clock read.
+   Lets a workload bracket the [check ()] it is about to take with span
+   events; arming the countdown makes that very [check] take the
+   expiry. *)
 let preempt_pending () =
   match Domain.DLS.get current_worker with
-  | Some (_, w) -> Atomic.get w.preempt
-  | None -> false
+  | Some ({ preempt_interval = Some _; _ }, w)
+    when Unix.gettimeofday () >= w.w_deadline ->
+      w.w_countdown <- 1;
+      true
+  | _ -> false
 
 (* Emit a flight event from inside a fiber into the current worker's
    ring — the fiber runs on exactly one worker at a time, so the ring
@@ -911,7 +895,6 @@ let shutdown pool =
   Atomic.set pool.shutdown true;
   notify_all pool;
   List.iter Domain.join pool.doms;
-  (match pool.ticker with Some t -> Thread.join t | None -> ());
   pool.doms <- []
 
 (* Join newest-first, like [parallel_for]: the youngest unstolen child

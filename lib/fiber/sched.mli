@@ -12,12 +12,14 @@
     validating {!Config.make}.
 
     Scheduling is cooperative ([yield], [await]); preemption is
-    {e safe-point based}: a ticker marks workers for preemption every
-    [preempt_interval], and a fiber crossing a {!check} point (or an
-    explicit {!yield}) is descheduled.  This is the GHC-style variant
-    the paper's §5 discusses — portable OCaml cannot context-switch
-    inside an asynchronous signal handler, so true signal-yield
-    semantics are exercised in the simulator instead (see DESIGN.md). *)
+    {e safe-point based}: each worker times its own quantum of
+    [preempt_interval] from its {!check} points, and a fiber crossing a
+    {!check} after its worker's quantum has ended (or an explicit
+    {!yield}) is descheduled.  There is no timer thread or signal.
+    This is the GHC-style variant the paper's §5 discusses — portable
+    OCaml cannot context-switch inside an asynchronous signal handler,
+    so true signal-yield semantics are exercised in the simulator
+    instead (see DESIGN.md). *)
 
 type pool
 
@@ -25,9 +27,9 @@ type 'a promise
 
 (** [make cfg] builds the pool described by a validated {!Config.t}:
     one scheduler instance per sub-pool, worker domains spawned for
-    every worker but 0 (worker 0 is the caller inside {!run}), the
-    preemption ticker armed if [cfg.preempt_interval] is set, and the
-    flight recorder armed if [cfg.recorder_enabled].
+    every worker but 0 (worker 0 is the caller inside {!run}), each
+    worker's first quantum started if [cfg.preempt_interval] is set,
+    and the flight recorder armed if [cfg.recorder_enabled].
     @raise Invalid_argument via {!Config.validate} on a hand-built
     record that does not partition the workers. *)
 val make : Config.t -> pool
@@ -106,8 +108,14 @@ val yield : unit -> unit
     and [wake] must never be called. *)
 val suspend_or : ((unit -> unit) -> [ `Continue | `Suspended ]) -> unit
 
-(** Preemption safe point: yields iff the ticker has marked this worker.
-    Free when no preemption is requested. *)
+(** Preemption safe point: yields iff the current worker's quantum has
+    ended.  Every 64th call on a worker reads the clock against the
+    worker's deadline; the others only count down, so a preemption
+    comes at most 64 safe points after the deadline.  On expiry the
+    worker picks its next quantum ([preempt_interval], or the
+    {!Quantum} controller's choice on an adaptive pool), counts the
+    preemption, takes the telemetry sweep when one is due, and yields.
+    Without [preempt_interval] it never reads the clock. *)
 val check : unit -> unit
 
 (** True once the promise is fulfilled (never blocks). *)
@@ -115,11 +123,11 @@ val is_resolved : 'a promise -> bool
 
 (** [parallel_for ~chunk lo hi f] runs [f i] for [lo <= i < hi] across
     fibers of [chunk] iterations each ([chunk] defaults to a heuristic
-    sized to the caller's sub-pool), checking the preemption flag
+    sized to the caller's sub-pool), with a {!check} safe point
     between iterations. *)
 val parallel_for : ?chunk:int -> int -> int -> (int -> unit) -> unit
 
-(** Number of preemptions taken (ticker-initiated deschedules). *)
+(** Number of preemptions taken (quantum expiries at {!check}). *)
 val preemptions : pool -> int
 
 (** [parallel_map f xs] — apply [f] to every element in parallel fibers
@@ -158,7 +166,7 @@ type subpool_stats = {
   st_quanta : (int * float) list;
       (** [(worker id, current preemption quantum in seconds)] per
           member, slot order.  Pinned at [preempt_interval] on a
-          fixed-interval pool ([0.] without a ticker); on an adaptive
+          fixed-interval pool ([0.] without one); on an adaptive
           pool ({!Config.t}[.adaptive]) it tracks the per-worker
           quantum the {!Quantum} controller last chose. *)
 }
@@ -177,13 +185,15 @@ val adaptive : pool -> bool
     separately from local steals. *)
 val recorder : pool -> Preempt_core.Recorder.t
 
-(** The pool's live telemetry (armed via [Config.telemetry]): the
-    preemption ticker samples every worker's state — run-queue depth,
-    steals in/out, park/wake counts, current quantum, utilization since
-    the last sample — into fixed-capacity per-worker time-series rings
-    every [Config.telemetry_every] sweeps.  The live view ([repro top])
-    reads it while the pool runs; disabled it costs one boolean load
-    per ticker sweep and nothing on any worker's path. *)
+(** The pool's live telemetry (armed via [Config.telemetry]): about
+    every [Config.telemetry_every] × [preempt_interval] seconds, one
+    worker whose quantum expires wins the sweep and samples every
+    worker's state — run-queue depth, steals in/out, park/wake counts,
+    current quantum, utilization since the last sample — into
+    fixed-capacity per-worker time-series rings.  Workers that never
+    reach a safe point are sampled too, as long as some worker expires.
+    The live view ([repro top]) reads it while the pool runs; disabled
+    it costs one boolean load per quantum expiry. *)
 val telemetry : pool -> Preempt_core.Telemetry.t
 
 (** Wall-clock origin of recorder and telemetry timestamps (the
@@ -191,11 +201,10 @@ val telemetry : pool -> Preempt_core.Telemetry.t
     or emitting events with {!emit_flight}[ ~at]. *)
 val clock_origin : pool -> float
 
-(** True while the current worker's preemption flag is raised, without
-    consuming it — one atomic load.  Lets a workload bracket the
-    {!check} it is about to take with span events.  Benignly racy: a
-    flag raised after the load is seen by the next probe.  [false]
-    outside a worker. *)
+(** True iff the current worker's quantum has ended — one clock read.
+    When it returns [true] it arms the next {!check} to take the expiry,
+    so a workload can bracket that {!check} with span events.  [false]
+    outside a worker and on a pool without [preempt_interval]. *)
 val preempt_pending : unit -> bool
 
 (** [emit_flight ?at code a b] — emit a flight event from inside a

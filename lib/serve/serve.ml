@@ -94,7 +94,7 @@ let validate c =
       if not (on_frac > 0.0 && on_frac <= 1.0) then
         reject "arrival.on_frac" (Printf.sprintf "%g" on_frac)
           "within (0, 1]");
-  (* The telemetry sampler rides the preemption ticker. *)
+  (* The telemetry sweep rides quantum expiries. *)
   if c.telemetry && c.preempt_interval = None then
     reject "telemetry" "true" "combined with preempt_interval"
 
@@ -263,9 +263,11 @@ let run ?dump ?on_pool c =
                    if traced && Fiber.preempt_pending () then begin
                      (* Bracket the yield we are about to take so the
                         span decomposition can attribute the gap to
-                        preemption overhead.  Benignly racy: a flag
-                        raised between the probe and [check] is taken
-                        unbracketed and lands in service time. *)
+                        preemption overhead.  [preempt_pending] arms
+                        this [check] to take the expiry; only a quantum
+                        that ends between the probe and the other
+                        branch's [check] is taken unbracketed and lands
+                        in service time. *)
                      Fiber.emit_flight R.ev_req_preempt i 0;
                      Fiber.check ();
                      Fiber.emit_flight R.ev_req_resume i 0

@@ -16,8 +16,8 @@
     preemption quantum ({!Quantum}) changes the tail under overload. *)
 
 (** The adaptive-quantum controller (re-export of {!Fiber.Quantum}):
-    [Quantum.next : stats -> float], the pure function the adaptive
-    ticker runs per worker. *)
+    [Quantum.next : stats -> float], the pure function each worker of
+    an adaptive pool runs at every expiry of its own quantum. *)
 module Quantum = Fiber.Quantum
 
 type arrival =

@@ -85,28 +85,114 @@ let test_parallel_speedup_runs () =
       let r = Fiber.run pool (fun () -> fib 20) in
       Alcotest.(check int) "fib 20" 6765 r)
 
-let test_preemption_ticker () =
-  with_pool ~domains:1 ~preempt_interval:0.005 (fun pool ->
-      (* Two greedy fibers calling [check] in their loops must interleave
-         even on a single worker. *)
-      let r =
-        Fiber.run pool (fun () ->
-            let progress = Atomic.make 0 in
-            let greedy _i () =
-              let t0 = Unix.gettimeofday () in
-              while Unix.gettimeofday () -. t0 < 0.1 do
-                Atomic.incr progress;
+(* Greedy [check] loops until wall-clock time [until]. *)
+let greedy_until until () =
+  while Unix.gettimeofday () < until do
+    Fiber.check ()
+  done
+
+let test_quantum_is_kept () =
+  with_pool ~domains:1 ~preempt_interval:0.001 (fun pool ->
+      (* Two greedy fibers sharing one worker for 200 ms under a 1 ms
+         quantum must be preempted about once per quantum; a preemption
+         source that only runs at OCaml's 50 ms master-lock tick takes
+         about 4. *)
+      Fiber.run pool (fun () ->
+          let until = Unix.gettimeofday () +. 0.2 in
+          let a = Fiber.spawn (greedy_until until) in
+          let b = Fiber.spawn (greedy_until until) in
+          Fiber.await a;
+          Fiber.await b);
+      let n = Fiber.preemptions pool in
+      if n < 50 then Alcotest.failf "%d preemptions in 200 ms at 1 ms, expected >= 50" n)
+
+let test_live_telemetry () =
+  (* Worker 0 runs a main fiber that never reaches a safe point; the
+     checkers on worker 1 take every sweep and must sample worker 0
+     too. *)
+  let cfg =
+    Fiber.Config.make ~domains:2 ~preempt_interval:0.001 ~telemetry:true
+      ~telemetry_every:1
+      ~subpools:
+        [
+          Fiber.Config.subpool ~name:"main" ~workers:[ 0 ] ();
+          Fiber.Config.subpool ~name:"spin" ~workers:[ 1 ] ();
+        ]
+      ()
+  in
+  let pool = Fiber.make cfg in
+  Fun.protect ~finally:(fun () -> Fiber.shutdown pool) (fun () ->
+      Fiber.run pool (fun () ->
+          let until = Unix.gettimeofday () +. 0.1 in
+          let ps = List.init 2 (fun _ -> Fiber.spawn ~pool:"spin" (greedy_until until)) in
+          while Unix.gettimeofday () < until do
+            ()
+          done;
+          List.iter Fiber.await ps);
+      let tel = Fiber.telemetry pool in
+      for w = 0 to 1 do
+        let s = Preempt_core.Telemetry.series tel ~worker:w in
+        if Array.length s = 0 then Alcotest.failf "worker %d: empty series" w;
+        Array.iteri
+          (fun k (p : Preempt_core.Telemetry.point) ->
+            if k > 0 && p.p_seq <= s.(k - 1).p_seq then
+              Alcotest.failf "worker %d: p_seq not strictly monotone at %d" w k;
+            Alcotest.(check (float 0.0)) "p_quantum" 1e-3 p.p_quantum)
+          s
+      done)
+
+let test_live_adaptive () =
+  (* Eight greedy fibers queued on one adaptive worker: every expiry
+     sees a backlog of seven, so the controller must shrink the quantum
+     below the base interval and record each move. *)
+  let base = 0.001 in
+  let pool =
+    Fiber.make
+      (Fiber.Config.make ~domains:1 ~preempt_interval:base ~adaptive:true
+         ~recorder:true ())
+  in
+  Fun.protect ~finally:(fun () -> Fiber.shutdown pool) (fun () ->
+      let lowest = ref infinity in
+      Fiber.run pool (fun () ->
+          let until = Unix.gettimeofday () +. 0.1 in
+          let observer () =
+            while Unix.gettimeofday () < until do
+              List.iter
+                (fun st ->
+                  List.iter (fun (_, q) -> lowest := Float.min !lowest q) st.Fiber.st_quanta)
+                (Fiber.stats pool);
+              for _ = 1 to 1000 do
                 Fiber.check ()
               done
-            in
-            let a = Fiber.spawn (greedy 0) in
-            let b = Fiber.spawn (greedy 1) in
-            Fiber.await a;
-            Fiber.await b;
-            true)
+            done
+          in
+          let ps =
+            Fiber.spawn observer :: List.init 7 (fun _ -> Fiber.spawn (greedy_until until))
+          in
+          List.iter Fiber.await ps);
+      if not (!lowest < base) then
+        Alcotest.failf "st_quanta never dropped below %g (lowest %g)" base !lowest;
+      let r = Fiber.recorder pool in
+      let changes =
+        Array.fold_left
+          (fun n (e : Preempt_core.Recorder.event) ->
+            if e.e_code = Preempt_core.Recorder.ev_quantum_change then n + 1 else n)
+          0 (Preempt_core.Recorder.events r)
       in
-      Alcotest.(check bool) "completed" true r;
-      Alcotest.(check bool) "preemptions happened" true (Fiber.preemptions pool > 0))
+      if changes = 0 then Alcotest.fail "no ev_quantum_change events recorded";
+      match Preempt_core.Recorder.(decode (encode r)) with
+      | Error e -> Alcotest.failf "dump round-trip: %s" e
+      | Ok dump -> (
+          match (Experiments.Observe.of_dump dump).Experiments.Observe.r_quanta with
+          | None -> Alcotest.fail "no quanta split in the report"
+          | Some qs ->
+              let open Experiments.Observe in
+              Alcotest.(check int) "every change in the split" changes qs.qs_changes;
+              List.iter
+                (fun row ->
+                  Alcotest.(check int) "worker 0 only" 0 row.qr_worker;
+                  Alcotest.(check bool) "min below base" true (row.qr_min < base))
+                qs.qs_rows))
 
 let test_pool_reuse_across_runs () =
   with_pool (fun pool ->
@@ -490,7 +576,9 @@ let suite =
     Alcotest.test_case "yield progress (1 worker)" `Quick test_yield_progress;
     Alcotest.test_case "parallel_for covers range" `Quick test_parallel_for_covers;
     Alcotest.test_case "parallel fib" `Quick test_parallel_speedup_runs;
-    Alcotest.test_case "preemption ticker" `Quick test_preemption_ticker;
+    Alcotest.test_case "quantum is kept" `Quick test_quantum_is_kept;
+    Alcotest.test_case "live telemetry" `Quick test_live_telemetry;
+    Alcotest.test_case "live adaptive quanta" `Quick test_live_adaptive;
     Alcotest.test_case "pool reuse" `Quick test_pool_reuse_across_runs;
     Alcotest.test_case "shutdown rejects run" `Quick test_shutdown_rejects_run;
     Alcotest.test_case "parallel_map" `Quick test_parallel_map;
