@@ -7,7 +7,6 @@
 type subpool = {
   sp_name : string;
   sp_workers : int list; (* global worker ids pinned to this sub-pool *)
-  sp_sched : Scheduler.t;
   sp_overflow : bool; (* members may steal cross-sub-pool when idle *)
 }
 
@@ -30,8 +29,8 @@ let reject field value requirement =
   invalid_arg
     (Printf.sprintf "Config: %s = %s (must be %s)" field value requirement)
 
-let subpool ?(sched = Scheduler.ws) ?(overflow = true) ~name ~workers () =
-  { sp_name = name; sp_workers = workers; sp_sched = sched; sp_overflow = overflow }
+let subpool ?(overflow = true) ~name ~workers () =
+  { sp_name = name; sp_workers = workers; sp_overflow = overflow }
 
 let default_domains () = Stdlib.max 1 (Domain.recommended_domain_count () - 1)
 

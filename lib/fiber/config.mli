@@ -5,14 +5,13 @@
     message instead of letting them surface as a hung pool.
 
     A pool is a set of named sub-pools.  Each sub-pool pins a subset of
-    the worker domains and carries its own {!Scheduler.t}; together the
-    sub-pools must partition workers [0 .. domains-1] exactly (every
-    worker pinned to exactly one sub-pool). *)
+    the worker domains and runs its own work-stealing {!Scheduler};
+    together the sub-pools must partition workers [0 .. domains-1]
+    exactly (every worker pinned to exactly one sub-pool). *)
 
 type subpool = {
   sp_name : string;  (** unique, non-empty *)
   sp_workers : int list;  (** global worker ids pinned to this sub-pool *)
-  sp_sched : Scheduler.t;
   sp_overflow : bool;
       (** when [true] (default), idle members steal cross-sub-pool
           once their own sub-pool has nothing runnable; [false]
@@ -45,10 +44,9 @@ type t = {
           workload uses one per service class) *)
 }
 
-(** [subpool ~name ~workers ()] — [sched] defaults to {!Scheduler.ws},
-    [overflow] to [true].  Validation happens in {!make}, not here. *)
+(** [subpool ~name ~workers ()] — [overflow] defaults to [true].
+    Validation happens in {!make}, not here. *)
 val subpool :
-  ?sched:Scheduler.t ->
   ?overflow:bool ->
   name:string ->
   workers:int list ->

@@ -13,7 +13,7 @@
    fiber's *home* sub-pool (Sched's Suspend/Suspend_or handlers capture
    it), not on the waker's.  A mutex shared across sub-pools therefore
    never migrates fibers between them — an "analysis" fiber woken by a
-   "compute" fiber goes back to the analysis sub-pool's scheduler. *)
+   "compute" fiber goes back to the analysis sub-pool's run queues. *)
 
 module Mutex = struct
   type t = {

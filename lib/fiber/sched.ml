@@ -45,17 +45,17 @@ type worker = {
   mutable pad3 : int;
 }
 
-(* A named sub-pool: a worker subset with its own scheduler instance
-   and its own park group.  Parking is per-sub-pool so a push can wake
-   a worker that will actually serve it: a member first, else (via
-   [notify_push]'s second branch) an overflow-capable sleeper from
-   another sub-pool. *)
+(* A named sub-pool: a worker subset with its own run queues
+   ([Scheduler]) and its own park group.  Parking is per-sub-pool so a
+   push can wake a worker that will actually serve it: a member first,
+   else (via [notify_push]'s second branch) an overflow-capable sleeper
+   from another sub-pool. *)
 type subpool = {
   sp_id : int;
   sp_name : string;
   sp_overflow : bool; (* members may steal cross-sub-pool when idle *)
   sp_members : int array; (* global worker ids, slot order *)
-  inst : Scheduler.instance;
+  inst : (unit -> unit) Scheduler.t;
   sp_lock : Mutex.t; (* held only to park and to signal sleepers *)
   sp_cond : Condition.t;
   sp_epoch : int Atomic.t; (* bumped on every push: lost-wakeup guard *)
@@ -92,7 +92,7 @@ type pool = {
    both, so a finished promise holds only its outcome. *)
 type 'a state =
   | Pending of (unit -> unit) list
-  | Claimable of Scheduler.task * (unit -> 'a) * (unit -> unit) list
+  | Claimable of (unit -> unit) * (unit -> 'a) * (unit -> unit) list
   | Resolved of 'a
   | Failed of exn
 
@@ -182,14 +182,14 @@ let notify_all pool =
    the wake — an overflow thief, a sibling sub-pool's member resolving
    a promise, a non-worker thread — the fiber goes back to its home
    sub-pool, on the fast path when the current worker is a member. *)
-let requeue pool sp ~prio ~front task =
-  (match Domain.DLS.get current_worker with
-  | Some (_, w) when w.w_sp = sp.sp_id ->
-      if front then sp.inst.i_push_front ~slot:w.w_slot ~prio task
-      else sp.inst.i_push ~slot:w.w_slot ~prio task
-  | _ ->
-      if front then sp.inst.i_push_front ~slot:(-1) ~prio task
-      else sp.inst.i_push ~slot:(-1) ~prio task);
+let requeue pool sp ~front task =
+  let slot =
+    match Domain.DLS.get current_worker with
+    | Some (_, w) when w.w_sp = sp.sp_id -> w.w_slot
+    | _ -> -1
+  in
+  if front then Scheduler.push_front sp.inst ~slot task
+  else Scheduler.push sp.inst ~slot task;
   notify_push pool sp
 
 (* Cheap xorshift for victim selection. *)
@@ -236,7 +236,7 @@ let batch_overflow = 2
    them sooner). *)
 let find_task pool w =
   let sp = pool.subpools.(w.w_sp) in
-  match sp.inst.i_pop ~slot:w.w_slot with
+  match Scheduler.pop sp.inst ~slot:w.w_slot with
   | Some _ as r -> r
   | None -> (
       let rng () = next_rand w in
@@ -245,7 +245,7 @@ let find_task pool w =
          both the local and the overflow attempts. *)
       let b0 = w.w_batch_stolen in
       match
-        sp.inst.i_steal_batch ~slot:w.w_slot ~rng ~max:batch_local
+        Scheduler.steal_batch sp.inst ~slot:w.w_slot ~rng ~max:batch_local
           ~spill:w.w_spill
       with
       | Some _ as r ->
@@ -265,8 +265,8 @@ let find_task pool w =
                 if v.sp_id = sp.sp_id then overflow (i + 1)
                 else
                   match
-                    v.inst.i_steal_batch ~slot:(-1) ~rng ~max:batch_overflow
-                      ~spill:w.w_spill
+                    Scheduler.steal_batch v.inst ~slot:(-1) ~rng
+                      ~max:batch_overflow ~spill:w.w_spill
                   with
                   | Some _ as r ->
                       w.w_overflow_in <- w.w_overflow_in + 1;
@@ -284,7 +284,7 @@ let find_task pool w =
           end
           else None)
 
-let handler pool sp ~prio =
+let handler pool sp =
   let open Effect.Deep in
   {
     retc = (fun () -> ());
@@ -298,17 +298,17 @@ let handler pool sp ~prio =
                 (* Front of the home scheduler: the owner runs every
                    other local task first, so yield actually gives
                    way. *)
-                requeue pool sp ~prio ~front:true (fun () -> continue k ()))
+                requeue pool sp ~front:true (fun () -> continue k ()))
         | Suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
                 register (fun () ->
-                    requeue pool sp ~prio ~front:false (fun () -> continue k ())))
+                    requeue pool sp ~front:false (fun () -> continue k ())))
         | Suspend_or decide ->
             Some
               (fun (k : (a, unit) continuation) ->
                 let wake () =
-                  requeue pool sp ~prio ~front:false (fun () -> continue k ())
+                  requeue pool sp ~front:false (fun () -> continue k ())
                 in
                 match decide wake with
                 | `Continue -> continue k ()
@@ -318,7 +318,7 @@ let handler pool sp ~prio =
 
 (* Run [body] as a fiber of its own, under the handler of its home
    sub-pool. *)
-let as_fiber pool sp ~prio body = Effect.Deep.match_with body () (handler pool sp ~prio)
+let as_fiber pool sp body = Effect.Deep.match_with body () (handler pool sp)
 
 (* ------------------------------------------------------------------ *)
 (* Promises. *)
@@ -360,33 +360,33 @@ let find_sp pool name =
    it; a joiner that takes it back never does.  [p] must be
    [Claimable] before the push: once the task is visible, a thief may
    resolve [p]. *)
-let spawn_in pool sp ~prio ~slot body =
+let spawn_in pool sp ~slot body =
   let p = Atomic.make (Pending []) in
-  let task () = as_fiber pool sp ~prio (fun () -> settle p body) in
+  let task () = as_fiber pool sp (fun () -> settle p body) in
   if slot >= 0 then Atomic.set p (Claimable (task, body, []))
   else Atomic.incr sp.sp_ext_spawned;
-  sp.inst.i_push ~slot ~prio task;
+  Scheduler.push sp.inst ~slot task;
   notify_push pool sp;
   p
 
-let spawn ?pool:target ?(prio = 0) body =
+let spawn ?pool:target body =
   let pool, w = self () in
   match target with
   | None ->
       (* Classic fork: a LIFO child of the calling worker, inside the
          caller's own sub-pool. *)
       w.w_spawned <- w.w_spawned + 1;
-      spawn_in pool pool.subpools.(w.w_sp) ~prio ~slot:w.w_slot body
+      spawn_in pool pool.subpools.(w.w_sp) ~slot:w.w_slot body
   | Some name ->
       (* Targeted spawn: a submission to the named sub-pool as a whole.
          It takes the external path even when the caller is a member,
          so it is served like any other incoming request rather than as
          the caller's LIFO child. *)
-      spawn_in pool (find_sp pool name) ~prio ~slot:(-1) body
+      spawn_in pool (find_sp pool name) ~slot:(-1) body
 
-let submit p ?pool:target ?(prio = 0) body =
+let submit p ?pool:target body =
   let sp = match target with Some name -> find_sp p name | None -> p.subpools.(0) in
-  spawn_in p sp ~prio ~slot:(-1) body
+  spawn_in p sp ~slot:(-1) body
 
 (* Work-first join: remove [entry] from the owner end of the current
    worker's own deque.  Success is the one claim on the entry (a thief's
@@ -397,7 +397,7 @@ let submit p ?pool:target ?(prio = 0) body =
 let take_own entry =
   let pool, w = self () in
   let sp = pool.subpools.(w.w_sp) in
-  if sp.inst.i_take ~slot:w.w_slot entry then begin
+  if Scheduler.take sp.inst ~slot:w.w_slot entry then begin
     w.w_inline_joins <- w.w_inline_joins + 1;
     true
   end
@@ -472,7 +472,7 @@ let expire pool w ~base now =
               q_base = base;
               q_min;
               q_max;
-              q_depth = sp.inst.i_length ();
+              q_depth = Scheduler.length sp.inst;
               q_members = Array.length sp.sp_members;
             }
         in
@@ -610,7 +610,7 @@ let make_sweep ~workers ~subpools ~tel ~t0 ~period =
             in
             prev_idle.(w.wid) <- idle;
             Preempt_core.Telemetry.sample tel ~worker:w.wid ~ts
-              ~depth:(sp.inst.i_length ())
+              ~depth:(Scheduler.length sp.inst)
               ~steals_in:(w.w_local_steals + w.w_overflow_in)
               ~steals_out:(Atomic.get sp.sp_stolen_away)
               ~parks:w.w_parks ~wakes:w.w_wakes ~quantum:w.w_quantum ~util)
@@ -644,7 +644,7 @@ let make (cfg : Config.t) =
           sp_name = s.Config.sp_name;
           sp_overflow = s.Config.sp_overflow;
           sp_members = members;
-          inst = Scheduler.instantiate s.Config.sp_sched ~slots:(Array.length members);
+          inst = Scheduler.create ~slots:(Array.length members);
           sp_lock = Mutex.create ();
           sp_cond = Condition.create ();
           sp_epoch = Atomic.make 0;
@@ -694,7 +694,7 @@ let make (cfg : Config.t) =
   in
   (* The spill closure a batched raid flushes extra tasks through:
      fixed per worker (it needs both the worker record and its
-     sub-pool instance, so it is tied after both exist), pushing on
+     sub-pool's queues, so it is tied after both exist), pushing on
      the worker's own slot and counting the haul. *)
   Array.iter
     (fun w ->
@@ -702,7 +702,7 @@ let make (cfg : Config.t) =
       w.w_spill <-
         (fun task ->
           w.w_batch_stolen <- w.w_batch_stolen + 1;
-          sp.inst.i_push ~slot:w.w_slot ~prio:0 task))
+          Scheduler.push sp.inst ~slot:w.w_slot task))
     workers;
   let recorder =
     (* A disabled recorder keeps only a token ring so pools without
@@ -809,7 +809,6 @@ let clock_origin pool = pool.rec_t0
 
 type subpool_stats = {
   st_name : string;
-  st_sched : string;
   st_workers : int;
   st_spawned : int;
   st_local_steals : int;
@@ -851,7 +850,6 @@ let stats pool =
          let c v = Stdlib.max 0 v in
          {
            st_name = sp.sp_name;
-           st_sched = sp.inst.i_name;
            st_workers = Array.length sp.sp_members;
            st_spawned = c !spawned;
            st_local_steals = c !local;
@@ -862,7 +860,7 @@ let stats pool =
            st_recycled = 0;
            st_recycle_miss = 0;
            st_leapfrog = 0;
-           st_pending = c (sp.inst.i_length ());
+           st_pending = c (Scheduler.length sp.inst);
            st_quanta =
              Array.to_list
                (Array.map
@@ -881,7 +879,7 @@ let run pool main =
   let w0 = pool.workers.(0) in
   let sp0 = pool.subpools.(w0.w_sp) in
   let fiber () =
-    as_fiber pool sp0 ~prio:0 (fun () ->
+    as_fiber pool sp0 (fun () ->
         (match main () with
         | v -> result := Some (Ok v)
         | exception e -> result := Some (Error e));
@@ -892,7 +890,7 @@ let run pool main =
   in
   (* External path: the calling thread only becomes worker 0 inside
      [worker_loop] below. *)
-  sp0.inst.i_push ~slot:(-1) ~prio:0 fiber;
+  Scheduler.push sp0.inst ~slot:(-1) fiber;
   notify_push pool sp0;
   worker_loop pool w0 ~until:(fun () -> Atomic.get finished);
   match !result with
@@ -915,20 +913,14 @@ let parallel_map f xs =
   let ps = List.rev_map (fun x -> spawn (fun () -> f x)) xs in
   List.fold_left (fun acc p -> await p :: acc) [] ps
 
-let parallel_for ?chunk lo hi f =
+let parallel_for lo hi f =
   let n = hi - lo in
   if n > 0 then begin
     let pool, w = self () in
-    let chunk =
-      match chunk with
-      | Some c when c > 0 -> c
-      | Some _ -> invalid_arg "Fiber.parallel_for: chunk <= 0"
-      | None ->
-          (* Size chunks to the caller's sub-pool, not the whole pool:
-             that is who will run them (overflow aside). *)
-          let members = Array.length pool.subpools.(w.w_sp).sp_members in
-          Stdlib.max 1 (n / (8 * members))
-    in
+    (* Size chunks to the caller's sub-pool, not the whole pool: that is
+       who will run them (overflow aside). *)
+    let members = Array.length pool.subpools.(w.w_sp).sp_members in
+    let chunk = Stdlib.max 1 (n / (8 * members)) in
     let rec spawn_chunks acc i =
       if i >= hi then acc
       else

@@ -3,13 +3,15 @@
 
     M fibers are multiplexed over N domains ("workers") organized into
     {e named sub-pools}: each sub-pool pins a subset of the workers and
-    carries its own pluggable {!Scheduler.t} (work stealing by default,
-    or the ported packing / in-situ priority policies).  Spawns may
-    target a sub-pool ([spawn ~pool:"analysis"]); steals prefer
-    same-sub-pool victims and overflow cross-sub-pool only when a
-    member's own sub-pool has nothing runnable (and the sub-pool's
-    [overflow] flag allows it).  Construction goes through the
-    validating {!Config.make}.
+    schedules them by Chase–Lev work stealing over its own
+    {!Scheduler} queues.  Spawns may target a sub-pool
+    ([spawn ~pool:"analysis"]); steals prefer same-sub-pool victims and
+    overflow cross-sub-pool only when a member's own sub-pool has
+    nothing runnable (and the sub-pool's [overflow] flag allows it).
+    In-situ isolation (paper §6) is a sub-pool with [~overflow:false].
+    The paper's packing and priority schedulers are reproduced in the
+    simulator only.  Construction goes through the validating
+    {!Config.make}.
 
     Scheduling is cooperative ([yield], [await]); preemption is
     {e safe-point based}: each worker times its own quantum of
@@ -26,7 +28,7 @@ type pool
 type 'a promise
 
 (** [make cfg] builds the pool described by a validated {!Config.t}:
-    one scheduler instance per sub-pool, worker domains spawned for
+    one set of run queues per sub-pool, worker domains spawned for
     every worker but 0 (worker 0 is the caller inside {!run}), each
     worker's first quantum started if [cfg.preempt_interval] is set,
     and the flight recorder armed if [cfg.recorder_enabled].
@@ -53,9 +55,9 @@ val shutdown : pool -> unit
 (** [submit pool ~pool:name body] — external submission from {e outside}
     the runtime (or from any fiber): enqueues [body] on the named
     sub-pool (default: the first one) via the scheduler's external path
-    and returns its promise.  [prio] as in {!spawn}.
+    and returns its promise.
     @raise Invalid_argument on an unknown sub-pool name. *)
-val submit : pool -> ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
+val submit : pool -> ?pool:string -> (unit -> 'a) -> 'a promise
 
 (** {1 Fiber operations — valid only inside fibers} *)
 
@@ -64,9 +66,7 @@ val submit : pool -> ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
     locality).  With [~pool:name], the fiber is {e submitted} to the
     named sub-pool as a whole: it takes the scheduler's external path
     even when the caller is a member, and is served like any other
-    incoming request.  [prio] (default [0]) is a scheduler hint: under
-    {!Scheduler.priority}, [prio > 0] marks in-situ analysis work.
-    The fiber is pinned: wherever it suspends or yields, it re-enters
+    incoming request.  The fiber is pinned: wherever it suspends or yields, it re-enters
     its home sub-pool.
 
     A local spawn (no [~pool]) queues the child as a claimable entry;
@@ -75,7 +75,7 @@ val submit : pool -> ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
     runs the child inline instead (see there).  [~pool] spawns and
     {!submit} always start the child as a fiber of its own.
     @raise Invalid_argument on an unknown sub-pool name. *)
-val spawn : ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
+val spawn : ?pool:string -> (unit -> 'a) -> 'a promise
 
 (** Wait for a promise; re-raises if the child failed.  Returns at
     once if the promise is already fulfilled.
@@ -84,13 +84,10 @@ val spawn : ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
     and its entry is still next at the owner end of the current
     worker's own queue, [await] removes the entry and runs the child's
     body inline, on the joiner's stack.  That entry is then never run
-    by anybody else.  The sub-pool's scheduler decides whether an
-    entry can be taken back ({!Scheduler.SCHEDULER.take}): [ws] can;
-    [packing] and [priority], whose owner ends are FIFO, cannot, so
-    there every such join suspends.  The inline child runs inside the
-    joiner's fiber: a yield, a preemption at {!check} or an {!Fsync}
-    block in the child suspends the joiner with it, and both resume in
-    the joiner's home sub-pool with the joiner's [prio].
+    by anybody else ({!Scheduler.take}).  The inline child runs inside
+    the joiner's fiber: a yield, a preemption at {!check} or an
+    {!Fsync} block in the child suspends the joiner with it, and both
+    resume in the joiner's home sub-pool.
 
     Otherwise (the child was stolen, is running, or is not next) the
     calling fiber suspends and its worker moves on to other work until
@@ -121,11 +118,11 @@ val check : unit -> unit
 (** True once the promise is fulfilled (never blocks). *)
 val is_resolved : 'a promise -> bool
 
-(** [parallel_for ~chunk lo hi f] runs [f i] for [lo <= i < hi] across
-    fibers of [chunk] iterations each ([chunk] defaults to a heuristic
-    sized to the caller's sub-pool), with a {!check} safe point
-    between iterations. *)
-val parallel_for : ?chunk:int -> int -> int -> (int -> unit) -> unit
+(** [parallel_for lo hi f] runs [f i] for [lo <= i < hi] across fibers
+    of about [(hi - lo) / (8 × members)] iterations each (at least one),
+    where [members] is the size of the caller's sub-pool, with a
+    {!check} safe point between iterations. *)
+val parallel_for : int -> int -> (int -> unit) -> unit
 
 (** Number of preemptions taken (quantum expiries at {!check}). *)
 val preemptions : pool -> int
@@ -144,7 +141,6 @@ val parallel_map : ('a -> 'b) -> 'a list -> 'b list
     concurrent sampler always sees well-formed counts. *)
 type subpool_stats = {
   st_name : string;
-  st_sched : string;  (** scheduler name, e.g. ["ws"] *)
   st_workers : int;
   st_spawned : int;  (** local forks + targeted/external submissions *)
   st_local_steals : int;  (** same-sub-pool steals by members *)

@@ -154,12 +154,11 @@ let frame_to_string f =
     (fun st ->
       Buffer.add_string buf
         (Printf.sprintf
-           "sub-pool %-10s [%s] workers=%d pending=%d spawned=%d steals \
+           "sub-pool %-10s workers=%d pending=%d spawned=%d steals \
             local/in/out %d/%d/%d batched=%d\n"
-           st.Fiber.st_name st.Fiber.st_sched st.Fiber.st_workers
-           st.Fiber.st_pending st.Fiber.st_spawned st.Fiber.st_local_steals
-           st.Fiber.st_overflow_in st.Fiber.st_overflow_out
-           st.Fiber.st_batch_stolen))
+           st.Fiber.st_name st.Fiber.st_workers st.Fiber.st_pending
+           st.Fiber.st_spawned st.Fiber.st_local_steals st.Fiber.st_overflow_in
+           st.Fiber.st_overflow_out st.Fiber.st_batch_stolen))
     f.f_subpools;
   Buffer.add_string buf
     "  wkr sub-pool   depth util%  parks wakes st-in st-out quantum  queue\n";
@@ -195,10 +194,9 @@ let frame_to_json f =
       (List.map
          (fun st ->
            Printf.sprintf
-             "{\"name\":%S,\"sched\":%S,\"workers\":%d,\"pending\":%d,\"spawned\":%d,\"local_steals\":%d,\"overflow_in\":%d,\"overflow_out\":%d,\"batch_stolen\":%d}"
-             st.Fiber.st_name st.Fiber.st_sched st.Fiber.st_workers
-             st.Fiber.st_pending st.Fiber.st_spawned st.Fiber.st_local_steals
-             st.Fiber.st_overflow_in st.Fiber.st_overflow_out
+             "{\"name\":%S,\"workers\":%d,\"pending\":%d,\"spawned\":%d,\"local_steals\":%d,\"overflow_in\":%d,\"overflow_out\":%d,\"batch_stolen\":%d}"
+             st.Fiber.st_name st.Fiber.st_workers st.Fiber.st_pending
+             st.Fiber.st_spawned st.Fiber.st_local_steals st.Fiber.st_overflow_in st.Fiber.st_overflow_out
              st.Fiber.st_batch_stolen)
          f.f_subpools)
   in

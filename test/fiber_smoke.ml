@@ -296,7 +296,7 @@ let spawn_accounting_smoke ~rounds ~burst =
     spawned
 
 (* ------------------------------------------------------------------ *)
-(* 7. Work-first joins, exactly once.  On a 2-domain [ws] pool, every
+(* 7. Work-first joins, exactly once.  On a 2-domain pool, every
    child of a fork–join tree is either taken back by its joiner and run
    inline or started as a fiber by a worker that popped or stole it —
    never both, never neither.  Each child body bumps its own counter;

@@ -277,7 +277,6 @@ let test_fiber_config_defaults () =
   Alcotest.(check int) "default pool runs" 42 v;
   (match Fiber.stats pool with
   | [ st ] ->
-      Alcotest.(check string) "ws scheduler" "ws" st.Fiber.st_sched;
       Alcotest.(check int) "both workers" 2 st.Fiber.st_workers
   | sts -> Alcotest.fail (Printf.sprintf "%d stats rows, expected 1" (List.length sts)));
   Fiber.shutdown pool;

@@ -381,28 +381,31 @@ let test_steal_batch_boundaries () =
   done;
   Alcotest.(check int) "drained" 0 (Fiber.Deque.length d)
 
-(* Exactly-once under an owner popping concurrently with one thief
-   calling [steal d claim]: every pushed value is claimed by exactly
-   one side.  The owner's race-to-empty and push-restore paths run
-   against the thief's claims — per element for a plain steal,
-   iterated for a batched one.  fiber_smoke's deque stress exercises
-   the same invariant with more thieves and mixed batch sizes. *)
-let owner_race steal =
+(* Exactly-once under an owner working its end of a queue while
+   [thieves] domains steal: every pushed value is claimed by exactly one
+   party.  The owner pushes each value [v] and then makes its own move,
+   [own v], which returns the value it claimed, if any.  Thief [i]
+   raids with [steal i claim] (partially applied once per thief, so it
+   can keep state; [claim] takes a batched raid's extras).  [pop] drains
+   what is left once the owner is done.  fiber_smoke's deque
+   stress exercises the same invariant with more thieves and mixed
+   batch sizes. *)
+let owner_race ?(thieves = 1) ~push ~own ~pop steal =
   let items = 30_000 in
-  let d = Fiber.Deque.create () in
   let seen = Array.init items (fun _ -> Atomic.make 0) in
   let claim v = Atomic.incr seen.(v) in
   let stop = Atomic.make false in
-  let thief =
+  let thief i =
     Domain.spawn (fun () ->
+        let steal = steal i in
         while not (Atomic.get stop) do
-          match steal d claim with
+          match steal claim with
           | Some v -> claim v
           | None -> Domain.cpu_relax ()
         done;
         (* Final sweep so nothing is left when the owner quit early. *)
         let rec sweep () =
-          match steal d claim with
+          match steal claim with
           | Some v ->
               claim v;
               sweep ()
@@ -410,13 +413,13 @@ let owner_race steal =
         in
         sweep ())
   in
+  let ts = List.init thieves (fun i -> thief (i + 1)) in
   for v = 0 to items - 1 do
-    Fiber.Deque.push d v;
-    if v land 1 = 0 then
-      match Fiber.Deque.pop d with Some x -> claim x | None -> ()
+    push v;
+    match own v with Some x -> claim x | None -> ()
   done;
   let rec drain () =
-    match Fiber.Deque.pop d with
+    match pop () with
     | Some x ->
         claim x;
         drain ()
@@ -424,7 +427,7 @@ let owner_race steal =
   in
   drain ();
   Atomic.set stop true;
-  Domain.join thief;
+  List.iter Domain.join ts;
   let missing = ref 0 and dup = ref 0 in
   Array.iter
     (fun c ->
@@ -436,10 +439,53 @@ let owner_race steal =
   Alcotest.(check int) "no value lost" 0 !missing;
   Alcotest.(check int) "no value claimed twice" 0 !dup
 
-let test_steal_batch_owner_race () =
-  owner_race (fun d claim -> Fiber.Deque.steal_batch d ~max:4 ~spill:claim)
+(* The owner pops after every second push, racing the thief for the
+   last element: the Chase–Lev race-to-empty and push-restore paths. *)
+let deque_race steal =
+  let d = Fiber.Deque.create () in
+  owner_race
+    ~push:(Fiber.Deque.push d)
+    ~own:(fun v -> if v land 1 = 0 then Fiber.Deque.pop d else None)
+    ~pop:(fun () -> Fiber.Deque.pop d)
+    (fun _ claim -> steal d claim)
 
-let test_steal_owner_race () = owner_race (fun d _ -> Fiber.Deque.steal d)
+let test_steal_batch_owner_race () =
+  deque_race (fun d claim -> Fiber.Deque.steal_batch d ~max:4 ~spill:claim)
+
+let test_steal_owner_race () = deque_race (fun d _ -> Fiber.Deque.steal d)
+
+(* Work-first joins rest on [Scheduler.take]: the owner pops, compares
+   and re-pushes a non-matching task, and a [true] must be the only
+   claim on that entry.  Here the owner of slot 0 takes each even value
+   right after pushing it: the newest entry, which it wins unless a
+   thief got there first.  After each odd push it takes the even value
+   before it, which is already gone: the pop then draws the odd value
+   and [take] must put it back, while two member thieves on slots 1 and
+   2 steal throughout. *)
+let test_scheduler_take_vs_steal () =
+  let s = Fiber.Scheduler.create ~slots:3 in
+  let take v = if Fiber.Scheduler.take s ~slot:0 v then Some v else None in
+  let misses = ref 0 in
+  owner_race ~thieves:2
+    ~push:(Fiber.Scheduler.push s ~slot:0)
+    ~own:(fun v ->
+      if v land 1 = 0 then take v
+      else begin
+        if take (v - 1) = None then incr misses;
+        None
+      end)
+    ~pop:(fun () -> Fiber.Scheduler.pop s ~slot:0)
+    (fun i ->
+      let rng = Random.State.make [| i |] in
+      fun _ -> Fiber.Scheduler.steal s ~slot:i ~rng:(fun () -> Random.State.bits rng));
+  Alcotest.(check int) "a take of a gone entry never claims" 15_000 !misses;
+  (* Sequentially, a miss leaves the queue as it was. *)
+  List.iter (Fiber.Scheduler.push s ~slot:0) [ 1; 2; 3 ];
+  Alcotest.(check bool) "take of a buried entry" false
+    (Fiber.Scheduler.take s ~slot:0 2);
+  Alcotest.(check (list (option int))) "order kept"
+    [ Some 3; Some 2; Some 1; None ]
+    (List.init 4 (fun _ -> Fiber.Scheduler.pop s ~slot:0))
 
 let suite =
   [
@@ -458,4 +504,6 @@ let suite =
       test_steal_batch_owner_race;
     Alcotest.test_case "owner pop vs steal exactly-once" `Quick
       test_steal_owner_race;
+    Alcotest.test_case "Scheduler.take vs steals exactly-once" `Quick
+      test_scheduler_take_vs_steal;
   ]
