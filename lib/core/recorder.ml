@@ -1,11 +1,12 @@
-(* Flight recorder: always-on per-worker ring buffers of int-coded
-   timestamped events, in the style of Go's execution tracer and
-   magic-trace.  The write path is the same discipline as [Metrics]:
-   callers guard on [t.on] (one boolean load when disabled); an enabled
-   emit is one bounds-free modulo index plus four array stores.  The
-   analysis passes below — lifecycle reconstruction, preemption-latency
-   attribution, anomaly detection — run post-mortem on a decoded copy,
-   never on the hot path. *)
+(* Flight recorder: per-worker ring buffers of int-coded timestamped
+   events, in the style of Go's execution tracer and magic-trace.  The
+   rings are allocated the first time the recorder is enabled, so a
+   recorder that is never switched on costs a few words.  The write
+   path is the same discipline as [Metrics]: callers guard on [t.on]
+   (one boolean load when disabled); an enabled emit is one modulo
+   index plus four array stores.  The analysis passes below — lifecycle
+   reconstruction, preemption-latency attribution, anomaly detection —
+   run post-mortem on a decoded copy, never on the hot path. *)
 
 (* ------------------------------------------------------------------ *)
 (* Event codes.  [a]/[b] meanings are per-code; see [code_name]. *)
@@ -136,7 +137,10 @@ type ring = {
 type t = {
   mutable on : bool;
   capacity : int;
-  rings : ring array;  (* index = worker rank; the last ring is global *)
+  n_rings : int;
+  mutable rings : ring array;
+      (* index = worker rank; the last ring is global.  Empty until the
+         first [set_enabled t true]; [on] implies it is allocated. *)
 }
 
 let make_ring capacity =
@@ -151,29 +155,32 @@ let make_ring capacity =
 let create ~n_workers ~capacity =
   if n_workers <= 0 then invalid_arg "Recorder.create: n_workers <= 0";
   if capacity <= 0 then invalid_arg "Recorder.create: capacity <= 0";
-  {
-    on = false;
-    capacity;
-    rings = Array.init (n_workers + 1) (fun _ -> make_ring capacity);
-  }
+  { on = false; capacity; n_rings = n_workers + 1; rings = [||] }
 
 let enabled t = t.on
 
-let set_enabled t b = t.on <- b
+(* The rings are stored before [on] is set, so an emit that sees [on]
+   finds them.  An emit on another domain must be ordered after this
+   call (by [Domain.spawn] or a lock), as for any recorder setting. *)
+let set_enabled t b =
+  if b && Array.length t.rings = 0 then
+    t.rings <- Array.init t.n_rings (fun _ -> make_ring t.capacity);
+  t.on <- b
 
 let capacity t = t.capacity
 
-let n_rings t = Array.length t.rings
+let n_rings t = t.n_rings
 
-let global_ring t = Array.length t.rings - 1
+let global_ring t = t.n_rings - 1
+
+(* Events ever emitted to [ring]; zero before the rings exist. *)
+let count t ring = if Array.length t.rings = 0 then 0 else t.rings.(ring).r_count
 
 let total_emitted t = Array.fold_left (fun acc r -> acc + r.r_count) 0 t.rings
 
 (* Events lost to wraparound: everything emitted past [capacity]
    overwrote the ring's oldest record.  Zero until the ring wraps. *)
-let overwritten t ring =
-  let r = t.rings.(ring) in
-  Stdlib.max 0 (r.r_count - t.capacity)
+let overwritten t ring = Stdlib.max 0 (count t ring - t.capacity)
 
 let total_overwritten t =
   let acc = ref 0 in
@@ -210,20 +217,23 @@ type event = {
 }
 
 let ring_events t ring =
-  let r = t.rings.(ring) in
-  let kept = min r.r_count t.capacity in
-  let first = r.r_count - kept in
-  Array.init kept (fun k ->
-      let seq = first + k in
-      let i = seq mod t.capacity in
-      {
-        e_ts = r.r_ts.(i);
-        e_ring = ring;
-        e_seq = seq;
-        e_code = r.r_code.(i);
-        e_a = r.r_a.(i);
-        e_b = r.r_b.(i);
-      })
+  let count = count t ring in
+  let kept = min count t.capacity in
+  let first = count - kept in
+  if kept = 0 then [||]
+  else
+    let r = t.rings.(ring) in
+    Array.init kept (fun k ->
+        let seq = first + k in
+        let i = seq mod t.capacity in
+        {
+          e_ts = r.r_ts.(i);
+          e_ring = ring;
+          e_seq = seq;
+          e_code = r.r_code.(i);
+          e_a = r.r_a.(i);
+          e_b = r.r_b.(i);
+        })
 
 let order a b =
   let c = compare a.e_ts b.e_ts in
@@ -258,7 +268,7 @@ let encode t =
   Buffer.add_int32_le buf (Int32.of_int t.capacity);
   for ring = 0 to n_rings t - 1 do
     let evs = ring_events t ring in
-    Buffer.add_int32_le buf (Int32.of_int t.rings.(ring).r_count);
+    Buffer.add_int32_le buf (Int32.of_int (count t ring));
     Buffer.add_int32_le buf (Int32.of_int (Array.length evs));
     Array.iter
       (fun e ->

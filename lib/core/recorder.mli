@@ -1,10 +1,13 @@
-(** Flight recorder: always-on, fixed-memory event rings plus the
-    post-mortem passes built on them.
+(** Flight recorder: bounded event rings, allocated when first enabled,
+    plus the post-mortem passes built on them.
 
     One ring per worker plus a global ring (for events emitted outside
     any worker context: spawns, ready wakeups, sync operations, and the
     kernel events forwarded through {!Desim.Engine.set_observer}).  Each
     ring keeps the last [capacity] events; older ones are overwritten.
+    A recorder that is never enabled holds no ring storage; the first
+    [set_enabled t true] allocates every ring at full capacity, and
+    they stay allocated from then on.
 
     Write discipline matches {!Metrics}: call sites guard on {!field:on}
     so a disabled recorder costs one boolean load; an enabled {!emit} is
@@ -152,21 +155,30 @@ type ring = {
   mutable r_count : int;  (** total events ever emitted to this ring *)
 }
 
-type t = {
+type t = private {
   mutable on : bool;
       (** write-enable flag; read directly by emit sites, like
-          [Metrics.on] *)
+          [Metrics.on].  Set only through {!set_enabled}, which
+          allocates the rings first. *)
   capacity : int;
-  rings : ring array;  (** index = worker rank; last ring is global *)
+  n_rings : int;
+  mutable rings : ring array;
+      (** index = worker rank; last ring is global.  Empty until the
+          first [set_enabled t true]. *)
 }
 
 val create : n_workers:int -> capacity:int -> t
-(** [n_workers + 1] rings of [capacity] events each, disabled.
+(** A disabled recorder of [n_workers + 1] rings of [capacity] events
+    each.  No ring storage is allocated until {!set_enabled} first
+    turns it on.
     @raise Invalid_argument if either argument is [<= 0]. *)
 
 val enabled : t -> bool
 
 val set_enabled : t -> bool -> unit
+(** Turning the recorder on the first time allocates all its rings.
+    Emits from another domain must be ordered after that call, for
+    example by making it before [Domain.spawn]. *)
 
 val capacity : t -> int
 

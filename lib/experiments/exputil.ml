@@ -28,6 +28,53 @@ let pct v = Printf.sprintf "%.2f%%" (v *. 100.0)
 let seconds v = Printf.sprintf "%.3f s" v
 
 (* ------------------------------------------------------------------ *)
+(* [par_map f xs] is [List.map f xs], with the calls spread over
+   [min (Domain.recommended_domain_count ()) (List.length xs)] domains,
+   the caller's included (on one core, the caller runs them all).  Each domain claims the next job from an
+   atomic index, so a long job does not hold up the short ones behind
+   it.  Results come back in list order.  Every job runs, and every
+   helper domain is joined, before anything is returned or raised; if
+   jobs raised, the first of them in list order is re-raised, as
+   [List.map] would.
+
+   Contract: [f x] builds its own engine, kernel, runtime and RNG, and
+   reads or writes no mutable state shared with other jobs — no [Obs]
+   hook, no printing, no files.  The simulation libraries keep no
+   top-level mutable state a job could write: the only top-level
+   mutable values are [Desim.Heap]'s sentinel handle, which is never
+   written, [Chart.glyphs], which is only read, and the [Obs] refs
+   below, which the front end sets before a run.  So a point computes
+   the same bits on any domain, and the sweep the same results as
+   [List.map]. *)
+let par_map f xs =
+  let jobs = Array.of_list xs in
+  let n = Array.length jobs in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <-
+        Some
+          (match f jobs.(i) with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+      work ()
+    end
+  in
+  let domains = min (Domain.recommended_domain_count ()) n in
+  let helpers = List.init (max 0 (domains - 1)) (fun _ -> Domain.spawn work) in
+  work ();
+  List.iter Domain.join helpers;
+  Array.to_list
+    (Array.map
+       (function
+         | Some (Ok v) -> v
+         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+         | None -> assert false)
+       results)
+
+(* ------------------------------------------------------------------ *)
 (* Observability requests (--metrics / --chrome-trace) from the repro
    and bench front ends.  Experiments opt in by creating their kernels
    through [Obs.kernel], their configs through [Obs.config], and calling

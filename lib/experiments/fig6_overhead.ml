@@ -81,38 +81,67 @@ let intervals ?(knl = false) ~fast () =
   if fast then (if knl then [ 1e-3; 3e-3; 1e-2 ] else [ 3e-4; 1e-3; 1e-2 ])
   else [ 1e-4; 3e-4; 1e-3; 3e-3; 1e-2 ]
 
-let series_for machine ?(fast = false) () =
-  let workers = 56 and threads_per_worker = 10 in
-  let knl = machine == Machine.knl in
-  (* Long enough that end-of-run scheduling noise (max over 56 workers)
-     stays below the per-switch signal, as in the paper's headline
-     "overhead < 1% at 1 ms". *)
-  let per_thread = 20e-3 in
-  let baseline =
-    run_once machine ~workers ~threads_per_worker ~per_thread ~variant:Timer_only
-      ~interval:None
+(* The paper's setup: 56 workers x 10 threads, each thread long enough
+   that end-of-run scheduling noise (max over 56 workers) stays below
+   the per-switch signal, as in the paper's headline "overhead < 1% at
+   1 ms". *)
+let workers = 56
+
+let threads_per_worker = 10
+
+let per_thread = 20e-3
+
+(* Every run of [machines]' panels, in one list so [Exputil.par_map]
+   can spread them all: per machine, the nonpreemptive baseline, then
+   each variant at each interval. *)
+let runs ~fast machines =
+  List.concat_map
+    (fun machine ->
+      let knl = machine == Machine.knl in
+      (machine, Timer_only, None)
+      :: List.concat_map
+           (fun variant ->
+             List.map (fun i -> (machine, variant, Some i)) (intervals ~knl ~fast ()))
+           variants)
+    machines
+
+(* Each machine's [(baseline, series)], in [machines] order. *)
+let sweep ~fast machines =
+  let runs = runs ~fast machines in
+  let times =
+    List.combine runs
+      (Exputil.par_map
+         (fun (machine, variant, interval) ->
+           run_once machine ~workers ~threads_per_worker ~per_thread ~variant ~interval)
+         runs)
   in
-  ( baseline,
-    List.map
-      (fun variant ->
-        {
-          variant;
-          points =
-            List.map
-              (fun interval ->
-                let t =
-                  run_once machine ~workers ~threads_per_worker ~per_thread ~variant
-                    ~interval:(Some interval)
-                in
-                { interval; overhead = (t /. baseline) -. 1.0 })
-              (intervals ~knl ~fast ());
-        })
-      variants )
+  let time machine variant interval =
+    snd (List.find (fun ((m, v, i), _) -> m == machine && v = variant && i = interval) times)
+  in
+  List.map
+    (fun machine ->
+      let knl = machine == Machine.knl in
+      let baseline = time machine Timer_only None in
+      ( baseline,
+        List.map
+          (fun variant ->
+            {
+              variant;
+              points =
+                List.map
+                  (fun interval ->
+                    let t = time machine variant (Some interval) in
+                    { interval; overhead = (t /. baseline) -. 1.0 })
+                  (intervals ~knl ~fast ());
+            })
+          variants ))
+    machines
+
+let series_for machine ?(fast = false) () = List.hd (sweep ~fast [ machine ])
 
 let run ?(fast = false) () =
-  let go machine label =
+  let print machine label (baseline, data) =
     Exputil.subheading label;
-    let baseline, data = series_for machine ~fast () in
     Printf.printf "(nonpreemptive baseline: %s)\n" (Exputil.seconds baseline);
     let knl = machine == Machine.knl in
     Exputil.table ~x_label:"interval"
@@ -152,8 +181,13 @@ let run ?(fast = false) () =
   in
   Exputil.heading
     "Figure 6: overhead of preemptive vs nonpreemptive M:N threads (56 workers x 10 threads)";
-  let sky = go Machine.skylake "(a) Skylake" in
-  let knl = go Machine.knl "(b) KNL" in
+  let sky, knl =
+    match sweep ~fast [ Machine.skylake; Machine.knl ] with
+    | [ sky; knl ] -> (sky, knl)
+    | _ -> assert false
+  in
+  let sky = print Machine.skylake "(a) Skylake" sky in
+  let knl = print Machine.knl "(b) KNL" knl in
   Printf.printf
     "\nPaper: signal-yield ~ timer-only; futex and local-pool each cut KLT-switching\n\
      overhead (~2x combined); <1%% at 1 ms on Skylake, ~10 ms on KNL.\n";

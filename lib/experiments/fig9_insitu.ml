@@ -28,17 +28,47 @@ let atom_counts ~fast =
 
 let steps ~fast = if fast then 20 else 100
 
-let series ?(fast = false) ~interval () =
+(* The distinct simulations behind the figure.  Panels (a) and (b)
+   share the sim-only baseline, and the ablation reuses both the
+   baseline and panel (b)'s "Pthreads w/ priority" run, so each is
+   computed once. *)
+type run =
+  | Sim_only of float  (** Argobots w/ priority, no analysis, at [atoms] *)
+  | Insitu of int * IR.config * float  (** analysis interval, config, atoms *)
+  | Fifo of float  (** Pthreads with SCHED_FIFO simulation threads, interval 2 *)
+
+let runs ~fast =
+  let atoms = atom_counts ~fast in
+  List.map (fun a -> Sim_only a) atoms
+  @ List.concat_map
+      (fun interval ->
+        List.concat_map
+          (fun config -> List.map (fun a -> Insitu (interval, config, a)) atoms)
+          configs)
+      [ 1; 2 ]
+  @ List.map (fun a -> Fifo a) atoms
+
+let simulate ~fast run =
   let steps = steps ~fast in
+  match run with
+  | Sim_only atoms ->
+      IR.run ~atoms:(atoms /. 4.0) ~steps ~analysis_interval:None
+        { IR.rk = IR.Argobots; priority = true }
+  | Insitu (interval, config, atoms) ->
+      IR.run ~atoms:(atoms /. 4.0) ~steps ~analysis_interval:(Some interval) config
+  | Fifo atoms ->
+      IR.run_pthreads_fifo ~atoms:(atoms /. 4.0) ~steps ~analysis_interval:(Some 2) ()
+
+(* Every run of the figure, spread over domains: [(run, result)] in
+   [runs] order. *)
+let sweep ~fast =
+  let runs = runs ~fast in
+  List.combine runs (Exputil.par_map (simulate ~fast) runs)
+
+let series ~fast ~interval results =
+  let result run = List.assoc run results in
   let baselines =
-    List.map
-      (fun atoms ->
-        let r =
-          IR.run ~atoms:(atoms /. 4.0) ~steps ~analysis_interval:None
-            { IR.rk = IR.Argobots; priority = true }
-        in
-        (atoms, r.IR.time))
-      (atom_counts ~fast)
+    List.map (fun atoms -> (atoms, (result (Sim_only atoms)).IR.time)) (atom_counts ~fast)
   in
   ( baselines,
     List.map
@@ -48,10 +78,7 @@ let series ?(fast = false) ~interval () =
           points =
             List.map
               (fun atoms ->
-                let r =
-                  IR.run ~atoms:(atoms /. 4.0) ~steps ~analysis_interval:(Some interval)
-                    config
-                in
+                let r = result (Insitu (interval, config, atoms)) in
                 let baseline = List.assoc atoms baselines in
                 {
                   atoms_global = atoms;
@@ -64,9 +91,9 @@ let series ?(fast = false) ~interval () =
         })
       configs )
 
-let print_part ~fast ~interval label =
+let print_part ~fast ~interval results label =
   Exputil.subheading label;
-  let baselines, data = series ~fast ~interval () in
+  let baselines, data = series ~fast ~interval results in
   Exputil.table ~x_label:"atoms"
     ~columns:(List.map (fun s -> IR.config_name s.config) data @ [ "sim-only time" ])
     ~rows:
@@ -103,35 +130,28 @@ let write_csv name (baselines, data) =
 
 (* Ablation beyond the paper: strict SCHED_FIFO prioritization of the
    simulation threads — the "requires root" option §4.3 mentions. *)
-let fifo_ablation ~fast () =
+let fifo_ablation ~fast results =
   Exputil.subheading "ablation: Pthreads with SCHED_FIFO simulation threads (interval 2)";
-  let steps = steps ~fast in
+  let time run = (List.assoc run results).IR.time in
   List.iter
     (fun atoms ->
-      let base =
-        IR.run ~atoms:(atoms /. 4.0) ~steps ~analysis_interval:None
-          { IR.rk = IR.Argobots; priority = true }
-      in
-      let nice =
-        IR.run ~atoms:(atoms /. 4.0) ~steps ~analysis_interval:(Some 2)
-          { IR.rk = IR.Pthreads; priority = true }
-      in
-      let fifo =
-        IR.run_pthreads_fifo ~atoms:(atoms /. 4.0) ~steps ~analysis_interval:(Some 2) ()
-      in
+      let base = time (Sim_only atoms) in
+      let nice = time (Insitu (2, { IR.rk = IR.Pthreads; priority = true }, atoms)) in
+      let fifo = time (Fifo atoms) in
       Printf.printf "%8.1fe7 atoms: nice(19) %s   SCHED_FIFO %s\n" (atoms /. 1e7)
-        (Exputil.pct ((nice.IR.time /. base.IR.time) -. 1.0))
-        (Exputil.pct ((fifo.IR.time /. base.IR.time) -. 1.0)))
+        (Exputil.pct ((nice /. base) -. 1.0))
+        (Exputil.pct ((fifo /. base) -. 1.0)))
     (atom_counts ~fast)
 
 let run ?(fast = false) () =
   Exputil.heading
     "Figure 9: in-situ analysis overhead with LAMMPS-style MD (56 workers/process)";
-  let a = print_part ~fast ~interval:1 "(a) analysis interval = 1" in
-  let b = print_part ~fast ~interval:2 "(b) analysis interval = 2" in
+  let results = sweep ~fast in
+  let a = print_part ~fast ~interval:1 results "(a) analysis interval = 1" in
+  let b = print_part ~fast ~interval:2 results "(b) analysis interval = 2" in
   write_csv "a" a;
   write_csv "b" b;
-  fifo_ablation ~fast ();
+  fifo_ablation ~fast results;
   Printf.printf
     "\nPaper: Argobots beats Pthreads; prioritization helps both at large atom counts;\n\
      the effect is more pronounced at interval 2 (analysis fits the MPI gaps).\n\

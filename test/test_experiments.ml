@@ -72,9 +72,56 @@ let test_fig6_ordering () =
   if local < sy then Alcotest.failf "KLT-switching cheaper than signal-yield?";
   if naive > 0.5 then Alcotest.failf "naive KLT-switching imploded: %g" naive
 
+(* [Exputil.par_map] is [List.map] spread over domains: same order,
+   same bits, same exception. *)
+let test_par_map_order () =
+  let xs = List.init 200 Fun.id in
+  let f x = (x * x) + 1 in
+  Alcotest.(check (list int)) "list order" (List.map f xs) (Exputil.par_map f xs);
+  Alcotest.(check (list int)) "empty" [] (Exputil.par_map f []);
+  Alcotest.(check (list int)) "singleton" [ 5 ] (Exputil.par_map f [ 2 ])
+
+let test_par_map_fig6_bits () =
+  let points =
+    List.concat_map
+      (fun variant -> List.map (fun i -> (variant, i)) [ None; Some 3e-4; Some 1e-3 ])
+      Fig6_overhead.[ Timer_only; Signal_yield_v; Klt_naive; Klt_futex_local ]
+  in
+  let run (variant, interval) =
+    Fig6_overhead.run_once Oskern.Machine.skylake ~workers:8 ~threads_per_worker:4
+      ~per_thread:5e-3 ~variant ~interval
+  in
+  let bits = List.map Int64.bits_of_float in
+  Alcotest.(check (list int64)) "par_map = List.map, bit for bit"
+    (bits (List.map run points))
+    (bits (Exputil.par_map run points))
+
+exception Job of int
+
+(* Even jobs take a while; odd jobs raise.  Whatever domain each job
+   lands on, the caller sees job 1's exception, and only after every
+   slow job has finished: a helper that raised does not cut the sweep
+   short, and the caller's own raise waits for the helpers. *)
+let test_par_map_raise () =
+  let finished = Atomic.make 0 in
+  let job i =
+    if i mod 2 = 1 then raise (Job i);
+    Unix.sleepf 0.02;
+    Atomic.incr finished;
+    i
+  in
+  match Exputil.par_map job (List.init 8 Fun.id) with
+  | _ -> Alcotest.fail "par_map returned past a raising job"
+  | exception Job i ->
+      Alcotest.(check int) "first raising job in list order" 1 i;
+      Alcotest.(check int) "every slow job finished first" 4 (Atomic.get finished)
+
 let suite =
   [
     Alcotest.test_case "fig4: contention shapes" `Slow test_fig4_shapes;
     Alcotest.test_case "table1: ordering + magnitude" `Slow test_table1_ordering;
     Alcotest.test_case "fig6: optimization ladder" `Slow test_fig6_ordering;
+    Alcotest.test_case "par_map keeps list order" `Quick test_par_map_order;
+    Alcotest.test_case "par_map fig6 sweep = List.map bits" `Quick test_par_map_fig6_bits;
+    Alcotest.test_case "par_map re-raises after joining" `Quick test_par_map_raise;
   ]

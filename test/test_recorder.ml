@@ -1,8 +1,9 @@
 (* Flight recorder (Preempt_core.Recorder): ring wraparound as a QCheck
    property against a reference model, binary-dump round-trips,
    lifecycle reconstruction on a hand-built stream, attribution
-   exactness against the live sig_to_switch histogram, and the
-   check-integration path (a counterexample's flight dump decodes). *)
+   exactness against the live sig_to_switch histogram, the
+   check-integration path (a counterexample's flight dump decodes), and
+   ring allocation on first enable. *)
 
 open Preempt_core
 
@@ -209,6 +210,53 @@ let test_counterexample_flight_decodes () =
                (fun lc -> Float.is_nan lc.Recorder.lc_finished)
                lcs))
 
+(* Rings are allocated on first enable: a recorder that is never
+   switched on, the default for a simulated runtime, holds no ring
+   storage.  One ring of 4096 slots is over 16k words. *)
+let test_disabled_holds_no_rings () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let t = Recorder.create ~n_workers:56 ~capacity:4096 in
+  Alcotest.(check bool) "disabled recorder under 256 words" true (words t < 256);
+  let eng = Desim.Engine.create () in
+  let kernel = Oskern.Kernel.create eng (Oskern.Machine.with_cores Oskern.Machine.skylake 56) in
+  let rt = Runtime.create kernel ~n_workers:56 in
+  Alcotest.(check bool) "default runtime's recorder under 256 words" true
+    (words (Runtime.recorder rt) < 256);
+  Alcotest.(check int) "no events" 0 (Array.length (Runtime.flight_events rt));
+  match Recorder.decode (Runtime.flight_dump rt) with
+  | Error e -> Alcotest.failf "empty dump does not decode: %s" e
+  | Ok d ->
+      Alcotest.(check int) "dump keeps the ring count" 57 d.Recorder.d_n_rings;
+      Alcotest.(check int) "dump keeps the capacity" 4096 d.Recorder.d_capacity
+
+(* Enabling after create gives full-capacity rings, and wraparound is
+   counted as before. *)
+let test_enable_after_create () =
+  let cap = 4096 in
+  let eng = Desim.Engine.create () in
+  let kernel = Oskern.Kernel.create eng (Oskern.Machine.with_cores Oskern.Machine.skylake 2) in
+  let rt = Runtime.create kernel ~n_workers:2 in
+  Runtime.set_recorder_enabled rt true;
+  let t = Runtime.recorder rt in
+  Alcotest.(check int) "capacity from the config" cap (Recorder.capacity t);
+  for i = 1 to cap do
+    Recorder.emit t 0 (float_of_int i) Recorder.ev_run i 0
+  done;
+  Alcotest.(check int) "full ring kept" cap (Array.length (Recorder.ring_events t 0));
+  Alcotest.(check int) "nothing overwritten yet" 0 (Recorder.overwritten t 0);
+  for i = cap + 1 to cap + 10 do
+    Recorder.emit t 0 (float_of_int i) Recorder.ev_run i 0
+  done;
+  let evs = Recorder.ring_events t 0 in
+  Alcotest.(check int) "still full" cap (Array.length evs);
+  Alcotest.(check int) "wraparound counted" 10 (Recorder.overwritten t 0);
+  Alcotest.(check int) "oldest kept" 11 evs.(0).Recorder.e_a;
+  Alcotest.(check int) "newest kept" (cap + 10) evs.(cap - 1).Recorder.e_a;
+  Runtime.set_recorder_enabled rt false;
+  Runtime.set_recorder_enabled rt true;
+  Alcotest.(check int) "re-enabling keeps the record" cap
+    (Array.length (Recorder.ring_events t 0))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest wraparound_check;
@@ -221,4 +269,8 @@ let suite =
       test_overwritten_through_dump;
     Alcotest.test_case "counterexample flight decodes" `Quick
       test_counterexample_flight_decodes;
+    Alcotest.test_case "disabled recorder holds no rings" `Quick
+      test_disabled_holds_no_rings;
+    Alcotest.test_case "enable after create records full capacity" `Quick
+      test_enable_after_create;
   ]
