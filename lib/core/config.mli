@@ -30,7 +30,12 @@ type t = {
   suspend_mode : suspend_mode;
   use_local_klt_pool : bool;  (** worker-local KLT pools (paper §3.3.2) *)
   local_pool_capacity : int;
-  idle_poll : float;  (** scheduler spin granularity when out of work *)
+  idle_poll : float;
+      (** scheduler spin granularity when out of work: a worker with
+          nothing to run burns CPU in [idle_poll]-second polls, looking
+          for work after each.  In the simulator an idle poll costs one
+          engine event when nothing else is due at its end
+          ([Oskern.Kernel.spin]) *)
   autostop : bool;  (** stop workers when no unfinished ULTs remain *)
   metrics_enabled : bool;
       (** record {!Metrics} counters and latency histograms; off by

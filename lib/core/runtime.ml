@@ -421,9 +421,12 @@ let rec sched_loop rt klt =
           | Some _ | None -> ());
           (match rt.sched.next rt w with
           | Some u -> run_entry rt w klt u
-          | None ->
+          | None -> (
               if rt.unfinished <= 0 && rt.cfg.Config.autostop then initiate_stop rt
-              else idle_spin rt w klt);
+              else
+                match idle_spin rt w klt with
+                | Some u -> run_entry rt w klt u
+                | None -> ()));
           sched_loop rt klt
         end
 
@@ -446,15 +449,46 @@ and park_klt rt klt =
 and suspend_worker rt (w : worker) klt =
   let fut = Kernel.Futex.create rt.kernel 0 in
   w.wake_fut <- Some fut;
-  Trace.emit (Kernel.trace rt.kernel) (now rt) "worker-suspend" (string_of_int w.rank);
+  let tr = Kernel.trace rt.kernel in
+  if Trace.enabled tr then Trace.emit tr (now rt) "worker-suspend" (string_of_int w.rank);
   ignore (Kernel.Futex.wait rt.kernel klt fut ~expected:0);
   w.wake_fut <- None;
-  Trace.emit (Kernel.trace rt.kernel) (now rt) "worker-resume" (string_of_int w.rank)
+  if Trace.enabled tr then Trace.emit tr (now rt) "worker-resume" (string_of_int w.rank)
 
+(* One idle poll, then — when [Kernel.spin] can run it in the poll's
+   completion event — as many further steps of [sched_loop] as find no
+   work: the idle-time add, [sched_loop]'s checks and [rt.sched.next].
+   [step] declines, before touching anything, wherever [sched_loop]
+   would do more than call [next]; [t0] moves to the start of each poll
+   it arms.  Returns the thread a stepped [next] found, for [sched_loop]
+   to run. *)
 and idle_spin rt (w : worker) klt =
-  let t0 = now rt in
-  Kernel.compute rt.kernel klt rt.cfg.Config.idle_poll;
-  w.idle_time <- w.idle_time +. (now rt -. t0)
+  let t0 = ref (now rt) in
+  let found = ref None in
+  let step () =
+    if
+      rt.stopping
+      || (rt.unfinished <= 0 && rt.cfg.Config.autostop)
+      || (not w.active)
+      || match worker_of rt klt with Some w' -> w' != w | None -> true
+    then Kernel.Spin_decline
+    else begin
+      w.idle_time <- w.idle_time +. (now rt -. !t0);
+      match rt.sched.next rt w with
+      | None ->
+          t0 := now rt;
+          Kernel.Spin_again
+      | Some _ as u ->
+          found := u;
+          Kernel.Spin_stop
+    end
+  in
+  Kernel.spin rt.kernel klt rt.cfg.Config.idle_poll ~step;
+  match !found with
+  | Some _ as u -> u (* the step that found it added the idle time *)
+  | None ->
+      w.idle_time <- w.idle_time +. (now rt -. !t0);
+      None
 
 and run_entry rt (w : worker) klt (u : ult) =
   match u.ustate with
@@ -672,6 +706,7 @@ let create ?(config = Config.default) ?scheduler kernel ~n_workers =
     preempt_latency_stats = Stats.create ();
     next_uid = 0;
     rt_rng = rng;
+    main_queued = 0;
     preempt_signals = 0;
     klt_switches = 0;
     metrics =

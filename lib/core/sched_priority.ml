@@ -15,12 +15,15 @@ let steal_main rt (w : worker) =
     if i = n then None
     else
       let v = (w.rank + 1 + i) mod n in
-      match Dq.pop_back rt.workers.(v).q_main with Some u -> Some u | None -> sweep (i + 1)
+      match Sched_ws.pop_back_main rt rt.workers.(v) with
+      | Some u -> Some u
+      | None -> sweep (i + 1)
   in
-  if n <= 1 then None else sweep 0
+  (* With every [q_main] empty the sweep could find nothing. *)
+  if n <= 1 || rt.main_queued = 0 then None else sweep 0
 
 let next rt (w : worker) =
-  match Dq.pop_front w.q_main with
+  match Sched_ws.pop_front_main rt w with
   | Some u -> Some u
   | None -> (
       match steal_main rt w with
@@ -35,10 +38,10 @@ let next rt (w : worker) =
 
 let on_ready rt (u : ult) =
   let w = rt.workers.(u.home mod Array.length rt.workers) in
-  if u.priority <= 0 then Dq.push_back w.q_main u else Dq.push_back w.q_aux u
+  if u.priority <= 0 then Sched_ws.push_main rt w u else Dq.push_back w.q_aux u
 
-let on_preempted _rt (w : worker) (u : ult) =
-  if u.priority <= 0 then Dq.push_back w.q_main u else Dq.push_back w.q_aux u
+let on_preempted rt (w : worker) (u : ult) =
+  if u.priority <= 0 then Sched_ws.push_main rt w u else Dq.push_back w.q_aux u
 
 let on_yielded rt (w : worker) (u : ult) = on_preempted rt w u
 

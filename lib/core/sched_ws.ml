@@ -9,6 +9,23 @@
 
 open Types
 
+(* This scheduler and [Sched_priority] push to and pop from [q_main]
+   only through these, keeping [rt.main_queued] equal to the threads in
+   all workers' [q_main]. *)
+let push_main rt (w : worker) u =
+  rt.main_queued <- rt.main_queued + 1;
+  Dq.push_back w.q_main u
+
+let taken rt = function
+  | Some _ as r ->
+      rt.main_queued <- rt.main_queued - 1;
+      r
+  | None -> None
+
+let pop_front_main rt (w : worker) = taken rt (Dq.pop_front w.q_main)
+
+let pop_back_main rt (w : worker) = taken rt (Dq.pop_back w.q_main)
+
 let steal rt (w : worker) =
   let n = Array.length rt.workers in
   if n <= 1 then None
@@ -23,21 +40,24 @@ let steal rt (w : worker) =
         | Some c -> Desim.Choice.pick c ~n ~tag:"steal.victim"
         | None -> Desim.Rng.int w.w_rng n
       in
-      if v = w.rank then None else Dq.pop_back rt.workers.(v).q_main
+      if v = w.rank then None else pop_back_main rt rt.workers.(v)
     in
     let rec probes k = if k = 0 then None else match attempt () with Some u -> Some u | None -> probes (k - 1) in
     match probes 2 with
     | Some u -> Some u
+    | None when rt.main_queued = 0 -> None
     | None ->
         (* Fallback sweep, starting after ourselves so victim pressure
-           is spread instead of always draining worker 0 first. *)
+           is spread instead of always draining worker 0 first.  With
+           every queue empty it could find nothing, so it is skipped
+           (the probes above still draw, keeping the RNG stream). *)
         let rec sweep k =
           if k = n then None
           else
             let i = (w.rank + 1 + k) mod n in
             if i = w.rank then sweep (k + 1)
             else
-              match Dq.pop_back rt.workers.(i).q_main with
+              match pop_back_main rt rt.workers.(i) with
               | Some u -> Some u
               | None -> sweep (k + 1)
         in
@@ -45,7 +65,7 @@ let steal rt (w : worker) =
   end
 
 let next rt (w : worker) =
-  match Dq.pop_front w.q_main with
+  match pop_front_main rt w with
   | Some u -> Some u
   | None ->
       let stolen = steal rt w in
@@ -60,11 +80,10 @@ let next rt (w : worker) =
       stolen
 
 let on_ready rt (u : ult) =
-  let w = rt.workers.(u.home mod Array.length rt.workers) in
-  Dq.push_back w.q_main u
+  push_main rt rt.workers.(u.home mod Array.length rt.workers) u
 
-let on_preempted _rt (w : worker) (u : ult) = Dq.push_back w.q_main u
+let on_preempted rt (w : worker) (u : ult) = push_main rt w u
 
-let on_yielded _rt (w : worker) (u : ult) = Dq.push_back w.q_main u
+let on_yielded rt (w : worker) (u : ult) = push_main rt w u
 
 let make () = { sched_name = "work-stealing"; next; on_ready; on_preempted; on_yielded }

@@ -99,6 +99,10 @@ and rt = {
   preempt_latency_stats : Desim.Stats.t;  (* Table 1 metric *)
   mutable next_uid : int;
   rt_rng : Desim.Rng.t;
+  mutable main_queued : int;
+      (* threads in all workers' [q_main], kept by [Sched_ws] and
+         [Sched_priority] (which read it to skip an empty steal sweep);
+         [Sched_packing] neither keeps nor reads it *)
   mutable preempt_signals : int;
   mutable klt_switches : int;
   metrics : Metrics.t;  (* per-worker counters + latency histograms *)

@@ -109,6 +109,8 @@ let set_quiescence_check t f = t.quiescence <- f
 
 let events_processed t = t.processed
 
+let due_now t = (not (Heap.is_empty t.heap)) && Heap.min_key t.heap <= t.clock
+
 let live_processes t = t.live
 
 let live_process_names t = Hashtbl.fold (fun _ name acc -> name :: acc) t.live_names []

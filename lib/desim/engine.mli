@@ -99,6 +99,13 @@ val set_quiescence_check : t -> (unit -> string option) -> unit
 (** Total events processed so far. *)
 val events_processed : t -> int
 
+(** [due_now t] is [true] while some pending event is due at the current
+    time, i.e. it would be dispatched before any later one.  From inside
+    an event callback, [false] means the next event popped is one the
+    callback itself pushes at [now]; the simulated kernel's idle-poll
+    fast path ([Kernel.spin]) rests on that. *)
+val due_now : t -> bool
+
 (** {1 Event metadata — schedule-exploration support}
 
     While a controller is installed, every pushed event is recorded

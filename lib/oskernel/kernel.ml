@@ -67,6 +67,10 @@ let total_migrations t = List.fold_left (fun acc k -> acc + k.migrations) 0 t.al
 
 let emit t tag detail = Trace.emit t.tr (now t) tag detail
 
+(* Guard for emit sites that format their detail: a disabled trace
+   records nothing, so the text need not be built. *)
+let tracing t = Trace.enabled t.tr
+
 (* Flight-recorder hook: kernel-level events are reported through the
    engine's observer as int-coded records, so the runtime's recorder
    (a layer the kernel cannot depend on) can fold them into its rings.
@@ -230,14 +234,15 @@ and dispatch t core =
               klt.pending_overhead
               +. (t.c.migration_cache_penalty *. hotness *. klt.kfootprint);
             klt.cpu_since_move <- 0.0;
-            emit t "migrate" (Printf.sprintf "%s -> core%d" klt.kname core.cid)
+            if tracing t then
+              emit t "migrate" (Printf.sprintf "%s -> core%d" klt.kname core.cid)
           end;
           klt.last_core <- core.cid;
           if core.last_klt <> klt.kid then
             klt.pending_overhead <- klt.pending_overhead +. t.c.klt_ctx_switch;
           core.last_klt <- klt.kid;
           set_slice t core;
-          emit t "dispatch" (Printf.sprintf "%s on core%d" klt.kname core.cid);
+          if tracing t then emit t "dispatch" (Printf.sprintf "%s on core%d" klt.kname core.cid);
           obs t obs_klt_dispatch klt.kid core.cid;
           (match klt.on_dispatch with
           | Some resume ->
@@ -269,35 +274,39 @@ and newidle_balance t core =
     | Some (load, other, k) when load >= 2 ->
         queue_remove other k;
         queue_insert core k;
-        emit t "newidle" (Printf.sprintf "core%d pulls %s from core%d" core.cid k.kname other.cid);
+        if tracing t then
+          emit t "newidle"
+            (Printf.sprintf "core%d pulls %s from core%d" core.cid k.kname other.cid);
         dispatch t core
     | _ -> ()
   end
 
 (* Wake-time core selection: prefer the previous core when it is idle or
    no more loaded than the best alternative (cache affinity, like CFS
-   wake_affine), otherwise the least-loaded allowed core. *)
+   wake_affine), otherwise the first idle allowed core, otherwise the
+   first least-loaded one. *)
 let select_core t klt =
-  let allowed = List.filter (fun c -> Cpuset.mem klt.affinity c.cid) (Array.to_list t.cores) in
-  match allowed with
-  | [] -> invalid_arg (Printf.sprintf "Kernel: %s has empty affinity" klt.kname)
-  | first :: _ -> (
-      let last = if Cpuset.mem klt.affinity klt.last_core then Some t.cores.(klt.last_core) else None in
-      match last with
-      | Some c when core_load c = 0 -> c
-      | _ -> (
-          let idle = List.find_opt (fun c -> core_load c = 0) allowed in
-          match idle with
-          | Some c -> c
-          | None ->
-              let least =
-                List.fold_left
-                  (fun acc c -> if core_load c < core_load acc then c else acc)
-                  first allowed
-              in
-              (match last with
-              | Some c when core_load c <= core_load least -> c
-              | _ -> least)))
+  let cores = t.cores in
+  let last = klt.last_core in
+  let last_ok = Cpuset.mem klt.affinity last in
+  if last_ok && core_load cores.(last) = 0 then cores.(last)
+  else begin
+    (* First allowed core of least load; stops at the first idle one. *)
+    let best = ref (-1) and best_load = ref max_int and i = ref 0 in
+    while !best_load > 0 && !i < Array.length cores do
+      if Cpuset.mem klt.affinity !i then begin
+        let l = core_load cores.(!i) in
+        if l < !best_load then begin
+          best := !i;
+          best_load := l
+        end
+      end;
+      incr i
+    done;
+    if !best < 0 then invalid_arg (Printf.sprintf "Kernel: %s has empty affinity" klt.kname);
+    if !best_load > 0 && last_ok && core_load cores.(last) <= !best_load then cores.(last)
+    else cores.(!best)
+  end
 
 (* Enqueue a newly-runnable KLT on [core], with CFS sleeper-fairness
    vruntime normalization. *)
@@ -423,7 +432,7 @@ let rec process_signals t klt =
       Sync.Mutex.unlock t.signal_lock;
       charge_running t klt t.c.signal_handler_entry;
       t.delivered <- t.delivered + 1;
-      emit t "signal" (Printf.sprintf "%s <- sig%d" klt.kname signo);
+      if tracing t then emit t "signal" (Printf.sprintf "%s <- sig%d" klt.kname signo);
       obs t obs_sig_deliver klt.kid signo;
       sigblock t klt signo;
       (match Hashtbl.find_opt t.handlers signo with
@@ -447,14 +456,24 @@ let kill _t klt signo =
 (* ------------------------------------------------------------------ *)
 (* The interruptible compute loop — the heart of the kernel model. *)
 
-type chunk_result = Chunk_done | Chunk_interrupted of interrupt_reason
+type chunk_result =
+  | Chunk_done
+  | Chunk_interrupted of interrupt_reason
+  | Chunk_stepped  (* an idle poll's step ran in event context (see [spin]) *)
 
-let run_chunk t klt dt =
+type spin_step = Spin_decline | Spin_again | Spin_stop
+
+let eps = 1e-12
+
+(* One chunk of [left] seconds of CPU, ended early by a signal, a slice
+   end or a wake-up preemption.  Returns the compute's remainder when
+   the chunk ended, and how it ended. *)
+let run_chunk t klt left =
   let chunk_start = now t in
   klt.exec_start <- chunk_start;
   let result =
     Engine.block (fun resume ->
-        let ev = Engine.after t.eng dt (fun () -> resume Chunk_done) in
+        let ev = Engine.after t.eng left (fun () -> resume Chunk_done) in
         klt.on_interrupt <-
           Some
             (fun reason ->
@@ -464,12 +483,68 @@ let run_chunk t klt dt =
   (* [account_running] may have charged part of this chunk already (at
      slice ticks); charge the rest and report total chunk progress. *)
   account_running t klt;
-  let elapsed = now t -. chunk_start in
-  (elapsed, result)
+  (left -. (now t -. chunk_start), result)
 
-let eps = 1e-12
+(* May an idle chunk's completion event, at [now], do the process's work
+   itself?  The event would resume the process through a second event at
+   [now].  When no schedule controller reorders ties and no other event
+   is due at [now], that resume is the very next event dispatched, so
+   whatever the process would run there can run here instead: same
+   clock, same order of every other event (each later insertion sequence
+   number shifts by one, uniformly), same RNG draws, same float sums.
+   The other conditions make the rest of [compute_loop]'s iteration a
+   no-op, as it would be in the process: still [Running] (no
+   [wait_dispatch]), no deferred overhead to charge (no delay), no
+   deliverable signal to handle. *)
+let can_step t klt =
+  (match Engine.controller t.eng with None -> true | Some _ -> false)
+  && (not (Engine.due_now t.eng))
+  && (match klt.state with Running -> true | Created | Runnable | Blocked _ | Zombie -> false)
+  && klt.pending_overhead = 0.0
+  && match deliverable klt with None -> true | Some _ -> false
 
-let compute_stoppable t klt amount ~should_stop =
+(* An idle poll's chunk.  When it completes and [can_step] holds, its
+   event runs the caller's [step] in place of the process; on
+   [Spin_again] it starts the next [poll]-second chunk itself, so one
+   idle poll costs one event and no process switch.  [start] and [left]
+   always describe the chunk in flight. *)
+let run_spin_chunk t klt ~poll ~step left0 =
+  let start = ref (now t) and left = ref left0 in
+  klt.exec_start <- !start;
+  let result =
+    Engine.block (fun resume ->
+        let ev = ref None in
+        let on_interrupt =
+          Some
+            (fun reason ->
+              match !ev with
+              | Some e when Engine.cancel e -> resume (Chunk_interrupted reason)
+              | Some _ | None -> ())
+        in
+        let rec complete () =
+          if !left -. (now t -. !start) <= eps && can_step t klt then begin
+            klt.on_interrupt <- None;
+            account_running t klt;
+            match step () with
+            | Spin_again ->
+                start := now t;
+                left := poll;
+                klt.exec_start <- !start;
+                ev := Some (Engine.after t.eng poll complete);
+                klt.on_interrupt <- on_interrupt
+            | Spin_stop -> resume Chunk_stepped
+            | Spin_decline -> resume Chunk_done
+          end
+          else resume Chunk_done
+        in
+        ev := Some (Engine.after t.eng left0 complete);
+        klt.on_interrupt <- on_interrupt)
+  in
+  klt.on_interrupt <- None;
+  account_running t klt;
+  (!left -. (now t -. !start), result)
+
+let compute_loop t klt amount ~should_stop ~chunk =
   if amount < 0.0 then invalid_arg "Kernel.compute: negative amount";
   let remaining = ref amount in
   let finished = ref false in
@@ -493,19 +568,28 @@ let compute_stoppable t klt amount ~should_stop =
       result := 0.0
     end
     else begin
-      let elapsed, r = run_chunk t klt !remaining in
-      remaining := !remaining -. elapsed;
+      let left, r = chunk !remaining in
+      remaining := left;
       match r with
       | Chunk_done -> ()
       | Chunk_interrupted Signal_pending -> ()
       | Chunk_interrupted (Slice_end | Wake_preempt) -> preempt_self t klt
+      | Chunk_stepped -> finished := true
     end
   done;
   !result
 
+let compute_stoppable t klt amount ~should_stop =
+  compute_loop t klt amount ~should_stop ~chunk:(run_chunk t klt)
+
+let never () = false
+
 let compute t klt amount =
-  let leftover = compute_stoppable t klt amount ~should_stop:(fun () -> false) in
+  let leftover = compute_stoppable t klt amount ~should_stop:never in
   assert (leftover = 0.0)
+
+let spin t klt dt ~step =
+  ignore (compute_loop t klt dt ~should_stop:never ~chunk:(run_spin_chunk t klt ~poll:dt ~step))
 
 let busy_wait t klt ?(poll = 20e-6) cond =
   while not (cond ()) do
@@ -658,8 +742,9 @@ let rec balance_tick t =
              | Some k ->
                  queue_remove !busiest k;
                  queue_insert !idlest k;
-                 emit t "balance"
-                   (Printf.sprintf "%s core%d -> core%d" k.kname !busiest.cid !idlest.cid);
+                 if tracing t then
+                   emit t "balance"
+                     (Printf.sprintf "%s core%d -> core%d" k.kname !busiest.cid !idlest.cid);
                  if !idlest.current = None then dispatch t !idlest;
                  true
              | None -> false

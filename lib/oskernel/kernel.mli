@@ -93,6 +93,31 @@ val compute : t -> klt -> float -> unit
     Returns [0.] when [d] was consumed in full. *)
 val compute_stoppable : t -> klt -> float -> should_stop:(unit -> bool) -> float
 
+(** What an idle poll's [step] did (see {!spin}). *)
+type spin_step =
+  | Spin_decline  (** did nothing; the process takes the poll's end as usual *)
+  | Spin_again  (** found no work: start the next poll *)
+  | Spin_stop  (** found work: resume the process to run it *)
+
+(** [spin t klt dt ~step] is [compute t klt dt] for a scheduler's idle
+    poll.  It also returns as soon as a [step] it ran returned
+    [Spin_stop].
+
+    When a poll's last chunk completes, its completion event calls
+    [step] itself instead of resuming the process, provided that is
+    exact: no schedule controller is installed, no other event is due
+    at the same time, and [klt] is running with no deferred overhead and
+    no deliverable signal.  The resume it replaces would then have been
+    the very next event, so running the process's next scheduling step
+    there changes no event order, no RNG draw and no float sum.  [step]
+    runs in event context (it must not perform effects) and must return
+    [Spin_decline], having changed nothing, wherever the process would
+    do anything but poll for work.  On [Spin_again] the same event arms
+    the next [dt]-second poll, so an idle poll costs one event.
+    Signals, slice ends and wake-up preemptions take the path of
+    {!compute}. *)
+val spin : t -> klt -> float -> step:(unit -> spin_step) -> unit
+
 (** [busy_wait t klt ~poll cond] spins, consuming CPU in [poll]-sized
     chunks, until [cond ()] holds.  Models flag-polling synchronization
     (e.g. Intel MKL barriers). *)

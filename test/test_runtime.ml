@@ -440,6 +440,100 @@ let test_stop_is_idempotent () =
   Runtime.stop rt;
   Alcotest.(check bool) "still stopped" true (Runtime.is_stopping rt)
 
+(* ---------------- idle polls ---------------- *)
+
+(* Workers whose threads finish at staggered times, then poll for work
+   until the last one ends.  With nothing else due when a poll ends, the
+   poll's completion event runs the scheduler step itself: about one
+   engine event per idle poll, where resuming the worker process costs
+   two. *)
+let test_idle_poll_one_event () =
+  let config = { Config.default with Config.timer_strategy = Config.No_timer } in
+  let eng, _k, rt = make ~config () in
+  let durations = [| 1.13e-3; 2.29e-3; 3.41e-3; 4.57e-3 |] in
+  Array.iteri
+    (fun i d -> ignore (Runtime.spawn rt ~home:i (fun () -> Ult.compute d)))
+    durations;
+  Runtime.start rt;
+  Engine.run eng;
+  let idle = ref 0.0 in
+  for r = 0 to Runtime.n_workers rt - 1 do
+    idle := !idle +. Runtime.worker_idle_time rt r
+  done;
+  let polls = !idle /. config.Config.idle_poll in
+  let events = float_of_int (Engine.events_processed eng) in
+  if polls < 600.0 then Alcotest.failf "only %.0f idle polls" polls;
+  if events > 1.1 *. polls then
+    Alcotest.failf "%.0f events for %.0f idle polls (%.2f per poll)" events polls
+      (events /. polls)
+
+(* Every worker idles from t = 0 in lockstep, so their polls end in
+   ties and take the resume path; threads spawned later are stolen
+   across workers.  One thread is also made ready at the very instant
+   an idle poll ends, by an event queued after that poll's own: the
+   poll must then leave its step to the process, which runs after the
+   spawn.  The makespan and idle fraction must keep the exact bits they
+   had before idle polls could run in event context. *)
+let lockstep_run () =
+  let config = { Config.default with Config.timer_strategy = Config.No_timer } in
+  let poll = config.Config.idle_poll in
+  let eng, _k, rt = make ~config () in
+  let finish = ref 0.0 in
+  let record () = finish := Float.max !finish (Ult.now ()) in
+  ignore
+    (Engine.after eng 0.5e-3 (fun () ->
+         ignore
+           (Runtime.spawn rt ~home:0 (fun () ->
+                for step = 1 to 3 do
+                  let kids =
+                    List.init 5 (fun i ->
+                        Runtime.spawn rt ~home:0 (fun () ->
+                            Ult.compute (1e-4 *. float_of_int (i + step))))
+                  in
+                  List.iter (fun u -> Usync.join rt u) kids;
+                  Ult.compute 7e-5
+                done;
+                record ()))));
+  (* Keep the runtime alive until the spawn above. *)
+  ignore (Runtime.spawn rt ~home:3 (fun () -> Ult.compute 0.6e-3));
+  ignore
+    (Runtime.spawn rt ~home:1 (fun () ->
+         Ult.compute 0.2e-3;
+         (* Worker 1's first idle poll starts now and ends at [f + poll]. *)
+         let f = Ult.now () in
+         ignore
+           (Engine.after eng (poll /. 2.0) (fun () ->
+                ignore
+                  (Engine.at eng (f +. poll) (fun () ->
+                       ignore
+                         (Runtime.spawn rt ~home:1 (fun () ->
+                              Ult.compute 0.1e-3;
+                              record ()))))))));
+  Runtime.start rt;
+  Engine.run eng;
+  let idle = ref 0.0 in
+  for r = 0 to Runtime.n_workers rt - 1 do
+    idle := !idle +. Runtime.worker_idle_time rt r
+  done;
+  (!finish, !idle /. (4.0 *. !finish))
+
+let check_bits name (time, idle_frac) (time_bits, idle_bits) =
+  Alcotest.(check int64) (name ^ " time bits") time_bits (Int64.bits_of_float time);
+  Alcotest.(check int64) (name ^ " idle_frac bits") idle_bits (Int64.bits_of_float idle_frac)
+
+let test_idle_poll_bits () =
+  check_bits "lockstep" (lockstep_run ()) (4567938584873306791L, 4598953952600531652L);
+  let insitu priority =
+    let r =
+      Moldyn.Insitu_run.run ~machine:(Machine.with_cores Machine.skylake 8) ~workers:8
+        ~atoms:3e5 ~steps:4 ~analysis_interval:(Some 2)
+        { Moldyn.Insitu_run.rk = Argobots; priority }
+    in
+    (r.Moldyn.Insitu_run.time, r.idle_frac)
+  in
+  check_bits "insitu Sched_ws" (insitu false) (4598656220018598458L, 4594731743189324175L);
+  check_bits "insitu Sched_priority" (insitu true) (4598840508473418923L, 4595799209265161415L)
+
 let suite =
   [
     Alcotest.test_case "single ULT" `Quick test_single_ult;
@@ -468,4 +562,6 @@ let suite =
     Alcotest.test_case "no timer, no preemption" `Quick test_no_timer_means_no_preemption;
     Alcotest.test_case "dynamic preemption interval" `Quick test_dynamic_interval;
     Alcotest.test_case "stop idempotent" `Quick test_stop_is_idempotent;
+    Alcotest.test_case "idle poll costs one event" `Quick test_idle_poll_one_event;
+    Alcotest.test_case "idle poll keeps exact bits" `Quick test_idle_poll_bits;
   ]

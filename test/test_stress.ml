@@ -30,13 +30,14 @@ let random_config rng =
 
 let kinds = [| Types.Nonpreemptive; Types.Signal_yield; Types.Klt_switching |]
 
-let run_random_workload seed =
+let run_random_workload ?scheduler ?(probe = fun _ -> ()) seed =
   let rng = Rng.make seed in
   let workers = 1 + Rng.int rng 6 in
   let eng = Engine.create ~seed () in
   let kernel = Kernel.create eng (Machine.with_cores Machine.skylake workers) in
   let config = random_config rng in
-  let rt = Runtime.create ~config kernel ~n_workers:workers in
+  let rt = Runtime.create ~config ?scheduler kernel ~n_workers:workers in
+  probe rt;
   let n_threads = 1 + Rng.int rng 24 in
   let completed = ref 0 in
   let total_work = ref 0.0 in
@@ -94,6 +95,36 @@ let prop_deterministic_replay =
       Engine.now e1 = Engine.now e2
       && Kernel.total_busy_time k1 = Kernel.total_busy_time k2
       && Kernel.signals_delivered k1 = Kernel.signals_delivered k2)
+
+(* [rt.main_queued], which lets the schedulers skip an empty steal
+   sweep, must equal the threads in all workers' [q_main] at every
+   event, under both schedulers that keep it. *)
+let prop_main_queued_exact =
+  QCheck.Test.make ~name:"random workloads: queued count = q_main lengths" ~count:30
+    QCheck.small_nat
+    (fun seed ->
+      let scheduler = if seed mod 2 = 0 then Sched_ws.make () else Sched_priority.make () in
+      let bad = ref None and checks = ref 0 in
+      let check (rt : Runtime.t) =
+        incr checks;
+        let sum = Array.fold_left (fun acc w -> acc + Dq.length w.Types.q_main) 0 rt.Types.workers in
+        if sum <> rt.Types.main_queued && !bad = None then
+          bad := Some (Engine.now (Kernel.engine rt.Types.kernel), sum, rt.Types.main_queued)
+      in
+      let probe rt =
+        let eng = Kernel.engine (Runtime.kernel rt) in
+        let rec tick () =
+          check rt;
+          if not (Runtime.is_stopping rt) then ignore (Engine.after eng 37e-6 tick)
+        in
+        ignore (Engine.after eng 0.0 tick)
+      in
+      let rt, _, _, _, _, _ = run_random_workload ~scheduler ~probe (seed + 4000) in
+      check rt;
+      match !bad with
+      | None -> !checks > 2
+      | Some (t, sum, count) ->
+          QCheck.Test.fail_reportf "at t=%g: q_main holds %d, main_queued = %d" t sum count)
 
 (* Mixed sync stress: threads hammer a mutex, a barrier and a channel
    under KLT-switching preemption at a deliberately aggressive timer
@@ -184,6 +215,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cpu_conservation;
     QCheck_alcotest.to_alcotest prop_all_klts_quiesce;
     QCheck_alcotest.to_alcotest prop_deterministic_replay;
+    QCheck_alcotest.to_alcotest prop_main_queued_exact;
     Alcotest.test_case "sync stress under preemption" `Quick test_sync_stress_under_preemption;
     Alcotest.test_case "packing flapping" `Quick test_packing_flapping;
   ]
