@@ -324,34 +324,6 @@ let fiber_preempt ~domains ~scale () =
   Fiber.shutdown pool;
   float_of_int (fibers * iters)
 
-(* Telemetry overhead on the same safe-point loop as fiber_preempt_d2:
-   [telemetry:false] is the shipped default — the rings exist but a
-   quantum expiry pays one boolean load and the fiber-side hooks
-   nothing at all; [telemetry:true] snapshots every worker into its
-   time-series ring on the default cadence (about every 4th quantum).  The
-   workload matches fiber_preempt_d2 exactly, so comparing the pair in
-   one process isolates what live telemetry costs from machine speed
-   (the budget gate below asserts the disabled path). *)
-let dispatch_telemetry ~telemetry ~scale () =
-  let domains = 2 in
-  let pool =
-    Fiber.make
-      (Fiber.Config.make ~domains ~preempt_interval:0.001 ~telemetry ())
-  in
-  let iters = 250_000 * scale in
-  let fibers = 2 * domains in
-  Fiber.run pool (fun () ->
-      let ps =
-        List.init fibers (fun _ ->
-            Fiber.spawn (fun () ->
-                for _ = 1 to iters do
-                  Fiber.check ()
-                done))
-      in
-      List.iter Fiber.await ps);
-  Fiber.shutdown pool;
-  float_of_int (fibers * iters)
-
 (* Sub-pool isolation: a saturating compute backlog plus spawn-to-run
    latency probes, the paper's in-situ-analysis shape.  [flat] pushes
    both through one shared 4-worker pool, so every probe queues behind
@@ -474,8 +446,6 @@ let benchmarks ~quick =
     ("fiber_preempt_d2", 2, fiber_preempt ~domains:2 ~scale);
     ("fiber_preempt_d4", 4, fiber_preempt ~domains:4 ~scale);
     ("fiber_preempt_d8", 8, fiber_preempt ~domains:8 ~scale);
-    ("dispatch_telemetry_off", 2, dispatch_telemetry ~telemetry:false ~scale);
-    ("dispatch_telemetry_on", 2, dispatch_telemetry ~telemetry:true ~scale);
     ("pool_isolation_flat", 4, pool_isolation ~sharded:false ~scale);
     ("pool_isolation_sharded", 4, pool_isolation ~sharded:true ~scale);
     ("serve_p99_fixed", 4, serve_p99 ~adaptive:false ~scale);
@@ -650,58 +620,6 @@ let recorder_budget_check entries =
         false
       end
       else true
-  | _ -> true
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry disabled-path budget.
-
-   dispatch_telemetry_off runs the exact fiber_preempt_d2 workload on
-   a pool whose telemetry rings exist but are disabled, so the
-   plain/off ns-per-op ratio measured in one process isolates what the
-   telemetry subsystem's presence costs when off (one boolean load per
-   quantum expiry, nothing per safe point).  Budget: the disabled path may
-   cost at most 2%, i.e. the ratio must stay >= 1/1.02.  Both entries
-   run 2 domains, so unlike the 4-core gates this one asserts on
-   nearly any host; [Gate]'s single re-measure absorbs loaded-host
-   blips. *)
-
-let telemetry_off_budget = 0.02
-
-let telemetry_min = 1.0 /. (1.0 +. telemetry_off_budget)
-
-let telemetry_remeasure () =
-  let sample f =
-    let t0 = wall () in
-    let ops = f () in
-    (wall () -. t0) /. ops *. 1e9
-  in
-  let plain = sample (fiber_preempt ~domains:2 ~scale:1) in
-  let off = sample (dispatch_telemetry ~telemetry:false ~scale:1) in
-  plain /. Stdlib.max 1e-9 off
-
-let telemetry_budget_check entries =
-  let ns_per_op name =
-    List.find_opt (fun e -> e.name = name) entries
-    |> Option.map (fun e -> e.wall_s /. e.ops *. 1e9)
-  in
-  match
-    ( ns_per_op "fiber_preempt_d2",
-      ns_per_op "dispatch_telemetry_off",
-      ns_per_op "dispatch_telemetry_on" )
-  with
-  | Some plain, Some off, Some on ->
-      Printf.printf
-        "telemetry disabled-path cost: %+.1f%% vs plain safe-point loop \
-         (budget %.0f%%); sampling: %+.1f%%\n"
-        ((off -. plain) /. plain *. 100.0)
-        (telemetry_off_budget *. 100.0)
-        ((on -. plain) /. plain *. 100.0);
-      Experiments.Gate.report
-        ~name:"telemetry disabled path (plain/off safe-point cost)"
-        ~minimum:telemetry_min
-        (Experiments.Gate.ratio_gate ~required_cores:2 ~minimum:telemetry_min
-           ~remeasure:telemetry_remeasure
-           (plain /. Stdlib.max 1e-9 off))
   | _ -> true
 
 (* ------------------------------------------------------------------ *)
@@ -926,14 +844,13 @@ let () =
       let current = List.map (fun e -> (e.name, e)) entries in
       let baseline_ok = compare_entries ~tolerance ~baseline ~current in
       let budget_ok = recorder_budget_check entries in
-      let telemetry_ok = telemetry_budget_check entries in
       let scaling_ok = scaling_check entries in
       let contention_ok = contention_check entries in
       let isolation_ok = isolation_check entries in
       let serve_ok = serve_check entries in
       if
         not
-          (baseline_ok && budget_ok && telemetry_ok && scaling_ok
+          (baseline_ok && budget_ok && scaling_ok
          && contention_ok && isolation_ok && serve_ok)
       then exit 1
   | _ -> usage ()

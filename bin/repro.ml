@@ -199,7 +199,6 @@ let serve_main rate duration mix arrival burst_period burst_on seed domains
       quantum_min;
       quantum_max;
       recorder = chrome <> None || dump <> None;
-      telemetry = top || top_json;
     }
   in
   (try Serve.validate cfg with Invalid_argument m -> fail m);
@@ -208,10 +207,10 @@ let serve_main rate duration mix arrival burst_period burst_on seed domains
   let on_pool =
     if top || top_json then
       Some
-        (fun pool ->
+        (fun pool rq ->
           Top.attach ~period:top_period
             ~mode:(if top_json then Top.Jsonl else Top.Text)
-            pool)
+            pool rq)
     else None
   in
   let rep = Serve.run ?dump ?on_pool cfg in
@@ -344,9 +343,9 @@ let serve =
       value & flag
       & info [ "top" ]
           ~doc:
-            "Arm live telemetry and redraw a $(b,repro top) terminal view \
-             (per-sub-pool worker tables, queue-depth sparklines, rolling \
-             per-class quantiles) while the workload runs.")
+            "Redraw a $(b,repro top) terminal view (per-sub-pool worker \
+             tables, queue-depth sparklines, per-class quantiles) while the \
+             workload runs.")
   in
   let top_json =
     Arg.(
@@ -369,7 +368,7 @@ let serve =
       $ quantum_max $ json $ chrome $ dump $ top $ top_json $ top_period)
 
 (* ------------------------------------------------------------------ *)
-(* repro top — live telemetry view over a self-driven workload        *)
+(* repro top — live view over a self-driven workload                  *)
 (* ------------------------------------------------------------------ *)
 
 let top_main rate duration domains json period =
@@ -384,22 +383,21 @@ let top_main rate duration domains json period =
       Serve.rate;
       duration;
       domains = Option.value domains ~default:d.Serve.domains;
-      telemetry = true;
     }
   in
   (try Serve.validate cfg with Invalid_argument m -> fail m);
-  let on_pool pool =
-    Top.attach ~period ~mode:(if json then Top.Jsonl else Top.Text) pool
+  let on_pool pool rq =
+    Top.attach ~period ~mode:(if json then Top.Jsonl else Top.Text) pool rq
   in
   ignore (Serve.run ~on_pool cfg : Serve.report)
 
 let top_cmd =
   let doc =
-    "Live telemetry view: drive the default serving workload \
-     ($(b,repro serve)) with per-worker time-series sampling armed and \
-     redraw per-sub-pool worker tables, queue-depth sparklines, the \
-     steal split, the adaptive-quanta range, and rolling per-class \
-     p50/p99 once a second until the run drains.  $(b,--json) swaps the \
+    "Live view: drive the default serving workload ($(b,repro serve)) \
+     and redraw per-sub-pool worker tables, queue-depth sparklines, the \
+     steal split, the adaptive-quanta range, and per-class p50/p99 of \
+     the requests completed since the last redraw, once a second until \
+     the run drains.  $(b,--json) swaps the \
      terminal redraw for one JSON object per tick (JSONL).  The same \
      view attaches to any serving run via $(b,repro serve --top)."
   in

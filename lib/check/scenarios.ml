@@ -610,107 +610,12 @@ let serve_overload_prog ?(racy = false) env =
     ()
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry ring model: the checker-level counterpart of the live
-   telemetry sampler (lib/core/telemetry.ml + the sweep in
-   lib/fiber/sched.ml).  The model's single sampler ULT stands for the
-   shipped sweep, which different workers take in turn: a worker must
-   win an atomic token (CAS false -> true) to sweep and releases it
-   with an atomic store after its last write, so at most one worker
-   writes the rings at a time and each sweep happens-after the one
-   before it.  The rings therefore see one serialized writer, as in the
-   model; the token hand-off itself is not modelled.  The sampler ULT
-   feeds one worker's ring a deterministic sequence — including hostile
-   inputs (negative depth, util outside [0,1]) the sampler is specified
-   to clamp — past the ring's capacity, while a reader ULT polls
-   [series] across schedule points, modelling the display thread.  The oracle asserts the
-   wraparound contract: every mid-run read sees monotone [p_seq] and
-   clamped fields, the final series is exactly the last [capacity]
-   samples, and replaying the same input into a fresh instance
-   reproduces the retained series bit-for-bit (sampler determinism —
-   the seeded regression the telemetry display relies on). *)
-let telemetry_ring_prog env =
-  let eng = env.Runner.eng in
-  let cap = 4 in
-  let n_samples = 7 in
-  let make () =
-    let t = Telemetry.create ~n_workers:1 ~capacity:cap ~channels:1 in
-    Telemetry.set_enabled t true;
-    t
-  in
-  let feed t i =
-    (* Hostile on purpose: depth below zero and util outside [0,1]
-       model the racy plain-counter reads the real sampler performs. *)
-    let depth = if i mod 3 = 2 then -1 else i in
-    let util = if i mod 2 = 0 then 1.5 else -0.25 in
-    Telemetry.sample t ~worker:0
-      ~ts:(float_of_int i *. 1e-3)
-      ~depth ~steals_in:i ~steals_out:(i / 2) ~parks:i ~wakes:i
-      ~quantum:1e-3 ~util;
-    Telemetry.observe t ~worker:0 ~channel:0 (float_of_int (i + 1) *. 1e-4);
-    if (i + 1) mod 3 = 0 then Telemetry.rotate_windows t
-  in
-  let tel = make () in
-  let reader_ok = ref true in
-  Engine.spawn eng ~footprint:"tel.ring" "sampler" (fun () ->
-      for i = 0 to n_samples - 1 do
-        feed tel i;
-        Engine.delay 1e-4
-      done);
-  Engine.spawn eng ~footprint:"tel.ring" "reader" (fun () ->
-      for _poll = 1 to 5 do
-        let s = Telemetry.series tel ~worker:0 in
-        Array.iteri
-          (fun k (p : Telemetry.point) ->
-            if k > 0 && p.Telemetry.p_seq <> s.(k - 1).Telemetry.p_seq + 1
-            then reader_ok := false;
-            if
-              p.Telemetry.p_depth < 0
-              || p.Telemetry.p_util < 0.0
-              || p.Telemetry.p_util > 1.0
-            then reader_ok := false)
-          s;
-        Engine.delay 1e-4
-      done);
-  Runner.program
-    ~oracle:(fun () ->
-      Runner.require !reader_ok
-        "telemetry-ring: a mid-run read saw non-monotone p_seq or an \
-         unclamped field";
-      Runner.require
-        (Telemetry.total_samples tel = n_samples)
-        "telemetry-ring: %d sample(s) recorded, expected %d"
-        (Telemetry.total_samples tel) n_samples;
-      let s = Telemetry.series tel ~worker:0 in
-      Runner.require
-        (Array.length s = cap)
-        "telemetry-ring: wrapped series retained %d point(s), expected %d"
-        (Array.length s) cap;
-      Runner.require
-        (s.(0).Telemetry.p_seq = n_samples - cap)
-        "telemetry-ring: series starts at seq %d, expected %d (last \
-         capacity samples)"
-        s.(0).Telemetry.p_seq (n_samples - cap);
-      let replay = make () in
-      for i = 0 to n_samples - 1 do
-        feed replay i
-      done;
-      Runner.require
-        (Telemetry.series replay ~worker:0 = s)
-        "telemetry-ring: replaying the same input produced a different \
-         series (sampler must be deterministic)";
-      Runner.require
-        (Metrics.Hist.count (Telemetry.channel_sketch tel ~channel:0)
-        = Metrics.Hist.count (Telemetry.channel_sketch replay ~channel:0))
-        "telemetry-ring: window sketch diverged from the deterministic \
-         replay")
-    ()
-
 (* The negative-transient bug the clamps exist for: the sampler reads
    two racy cumulative counters non-atomically (spawned, then — across
    a schedule point — completed) and publishes the difference as a
    queue depth.  A schedule that lets the worker retire work between
    the two loads drives the difference negative; publishing it raw is
-   the bug ([Fiber.stats] and [Telemetry.sample] clamp instead). *)
+   the bug ([Fiber.stats] and [Fiber.worker_stats] clamp instead). *)
 let telemetry_racy_prog env =
   let eng = env.Runner.eng in
   let spawned = ref 0 in
@@ -933,19 +838,6 @@ let all =
       sexhaust = false;
       stags = [ "serve" ];
       prog = serve_overload_prog ~racy:true;
-    };
-    {
-      sname = "telemetry-ring";
-      sdesc =
-        "telemetry ring keeps the last capacity samples, clamped and \
-         deterministic, under concurrent reads";
-      expect = Pass;
-      sfaults = false;
-      sbudget = 60;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "telemetry" ];
-      prog = telemetry_ring_prog;
     };
     {
       sname = "telemetry-racy";

@@ -19,10 +19,6 @@ type t = {
   subpools : subpool list;
   recorder_enabled : bool;
   recorder_capacity : int;
-  telemetry_enabled : bool;
-  telemetry_capacity : int;
-  telemetry_every : int;
-  telemetry_channels : int;
 }
 
 let reject field value requirement =
@@ -61,16 +57,6 @@ let validate t =
     reject "adaptive" "true" "combined with preempt_interval";
   if t.recorder_capacity < 1 then
     reject "recorder_capacity" (string_of_int t.recorder_capacity) "positive";
-  if t.telemetry_capacity < 1 then
-    reject "telemetry_capacity" (string_of_int t.telemetry_capacity) "positive";
-  if t.telemetry_every < 1 then
-    reject "telemetry_every" (string_of_int t.telemetry_every) "positive";
-  if t.telemetry_channels < 0 then
-    reject "telemetry_channels" (string_of_int t.telemetry_channels) ">= 0";
-  (* The sweep rides quantum expiries; without a quantum there is
-     nothing to drive it. *)
-  if t.telemetry_enabled && t.preempt_interval = None then
-    reject "telemetry" "true" "combined with preempt_interval";
   if t.subpools = [] then reject "subpools" "[]" "non-empty";
   (* [owner.(w)] = name of the sub-pool worker [w] is pinned to. *)
   let owner = Array.make t.domains None in
@@ -105,9 +91,7 @@ let validate t =
     owner
 
 let make ?domains ?preempt_interval ?(adaptive = false) ?quantum_min
-    ?quantum_max ?subpools ?(recorder = false) ?(recorder_capacity = 4096)
-    ?(telemetry = false) ?(telemetry_capacity = 256) ?(telemetry_every = 4)
-    ?(telemetry_channels = 2) () =
+    ?quantum_max ?subpools ?(recorder = false) ?(recorder_capacity = 4096) () =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let subpools =
     match subpools with
@@ -126,10 +110,6 @@ let make ?domains ?preempt_interval ?(adaptive = false) ?quantum_min
       subpools;
       recorder_enabled = recorder;
       recorder_capacity;
-      telemetry_enabled = telemetry;
-      telemetry_capacity;
-      telemetry_every;
-      telemetry_channels;
     }
   in
   validate t;

@@ -32,16 +32,6 @@ type t = {
   subpools : subpool list;
   recorder_enabled : bool;
   recorder_capacity : int;
-  telemetry_enabled : bool;
-      (** live per-worker time-series sampling
-          ({!Preempt_core.Telemetry}) taken at quantum expiries;
-          requires [preempt_interval] *)
-  telemetry_capacity : int;  (** points per worker ring *)
-  telemetry_every : int;
-      (** sample about every N × [preempt_interval] seconds *)
-  telemetry_channels : int;
-      (** sliding-window sojourn sketches per worker (the serving
-          workload uses one per service class) *)
 }
 
 (** [subpool ~name ~workers ()] — [overflow] defaults to [true].
@@ -64,12 +54,7 @@ val subpool :
     (both positive; defaults [preempt_interval /. 8.] and
     [preempt_interval]); [recorder] (default off) arms the flight
     recorder with [recorder_capacity] events per worker ring (default
-    4096); [telemetry] (default off, requires [preempt_interval]) arms
-    live time-series sampling with [telemetry_capacity] points per
-    worker ring (default 256), sampled about every [telemetry_every] ×
-    [preempt_interval] seconds ([telemetry_every] defaults to 4), with
-    [telemetry_channels] sojourn-window sketches per worker (default
-    2).
+    4096).
 
     @raise Invalid_argument with the uniform message above when a field
     is out of range ([quantum_min <= 0], [quantum_min > quantum_max],
@@ -84,10 +69,6 @@ val make :
   ?subpools:subpool list ->
   ?recorder:bool ->
   ?recorder_capacity:int ->
-  ?telemetry:bool ->
-  ?telemetry_capacity:int ->
-  ?telemetry_every:int ->
-  ?telemetry_channels:int ->
   unit ->
   t
 

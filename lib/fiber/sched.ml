@@ -1,9 +1,8 @@
 (* Worker records are owner-written: the owner runs its own quantum
    clock ([w_countdown], [w_deadline], [w_quantum]), bumps [rng_state]
    on every steal probe and keeps its counters; other domains only read
-   them racily ([stats], the telemetry sweep).  The record is padded
-   past 64 bytes so adjacent workers in [pool.workers] do not share a
-   cache line. *)
+   them racily ([worker_stats]).  The record is padded past 64 bytes so
+   adjacent workers in [pool.workers] do not share a cache line. *)
 type worker = {
   wid : int;
   w_sp : int; (* owning sub-pool id *)
@@ -13,13 +12,12 @@ type worker = {
   mutable w_countdown : int;
   mutable w_deadline : float;
   (* Current preemption quantum in seconds, moved only by an adaptive
-     pool's expiries and read racily by [stats] and the telemetry
-     sweep; a stale read is fine for diagnostics.  Fixed-interval pools
-     keep it pinned at [preempt_interval]; pools without preemption
-     at 0. *)
+     pool's expiries and read racily by [worker_stats]; a stale read is
+     fine for diagnostics.  Fixed-interval pools keep it pinned at
+     [preempt_interval]; pools without preemption at 0. *)
   mutable w_quantum : float;
   mutable rng_state : int;
-  (* Owner-written counters, aggregated racily by [stats] (stale reads
+  (* Owner-written counters, read racily by [worker_stats] (stale reads
      are fine for diagnostics); keeping them plain avoids shared-atomic
      traffic on the spawn/steal fast paths. *)
   mutable w_spawned : int;
@@ -33,16 +31,16 @@ type worker = {
   mutable w_spill : (unit -> unit) -> unit;
   (* Park accounting, owner-written on the park slow path only (the
      spin path never touches them): parks/wakes count condvar sleeps,
-     [w_idle_s] accumulates the seconds spent inside them.  The
-     telemetry sampler differences [w_idle_s] between sweeps to derive
-     utilization. *)
+     [w_idle_s] accumulates the seconds spent inside them.  A live view
+     differences [w_idle_s] between its reads to derive utilization. *)
   mutable w_parks : int;
   mutable w_wakes : int;
   mutable w_idle_s : float;
+  (* Quantum expiries taken at [check]. *)
+  mutable w_preempts : int;
   mutable pad0 : int;
   mutable pad1 : int;
   mutable pad2 : int;
-  mutable pad3 : int;
 }
 
 (* A named sub-pool: a worker subset with its own run queues
@@ -72,11 +70,8 @@ type pool = {
   shutdown : bool Atomic.t;
   preempt_interval : float option;
   quantum_bounds : (float * float) option; (* (min, max); Some iff adaptive *)
-  preempt_count : int Atomic.t;
   recorder : Preempt_core.Recorder.t;
   rec_t0 : float; (* wall-clock origin of recorder timestamps *)
-  telemetry : Preempt_core.Telemetry.t;
-  tel_sweep : float -> unit; (* offered the time at every expiry *)
 }
 
 (* Promise state machine: one atomic word, CAS [Pending / Claimable ->
@@ -458,7 +453,7 @@ let stride = 64
 (* [w]'s quantum ended at [now]: pick the next one ([base], or the
    [Quantum] controller's choice from the sub-pool's run-queue depth on
    an adaptive pool, recorded into [w]'s own ring when it moves), count
-   the preemption, offer the telemetry sweep the time, and yield. *)
+   the preemption, and yield. *)
 let expire pool w ~base now =
   let q =
     match pool.quantum_bounds with
@@ -487,8 +482,7 @@ let expire pool w ~base now =
         q
   in
   w.w_deadline <- now +. q;
-  Atomic.incr pool.preempt_count;
-  if Preempt_core.Telemetry.enabled pool.telemetry then pool.tel_sweep now;
+  w.w_preempts <- w.w_preempts + 1;
   yield ()
 
 let check () =
@@ -574,55 +568,6 @@ let worker_loop pool w ~until =
 
 let domain_main pool w = worker_loop pool w ~until:(fun () -> false)
 
-(* ------------------------------------------------------------------ *)
-(* Telemetry sweep.  Every expiry offers the sweep the time; about every
-   [period] seconds one expiring worker wins [token] and stores one
-   point per worker, itself and every other (a worker that never
-   reaches a safe point, like serve's injector, is still sampled).  The
-   token makes the winner the rings' and the windows' rotator's only
-   writer, and its release hands the sweep state below to the next
-   winner.  All inputs are racy plain-counter reads (Telemetry clamps
-   transients); utilization is derived by differencing each worker's
-   cumulative park-idle seconds against the previous sweep.  Every
-   [tel_rotate] sweeps the sliding sojourn windows rotate, so the
-   rolling sketches cover between one and two rotation periods. *)
-
-let tel_rotate = 32
-
-let make_sweep ~workers ~subpools ~tel ~t0 ~period =
-  let token = Atomic.make false in
-  let due = ref (t0 +. period) in
-  let prev_ts = ref t0 in
-  let prev_idle = Array.make (Array.length workers) 0.0 in
-  let sweeps = ref 0 in
-  fun now ->
-    if now >= !due && Atomic.compare_and_set token false true then begin
-      (* Re-check: the previous holder may have swept since our read. *)
-      if now >= !due then begin
-        let ts = now -. t0 in
-        let dt = now -. !prev_ts in
-        Array.iter
-          (fun w ->
-            let sp = subpools.(w.w_sp) in
-            let idle = w.w_idle_s in
-            let util =
-              if dt <= 0.0 then 1.0 else 1.0 -. ((idle -. prev_idle.(w.wid)) /. dt)
-            in
-            prev_idle.(w.wid) <- idle;
-            Preempt_core.Telemetry.sample tel ~worker:w.wid ~ts
-              ~depth:(Scheduler.length sp.inst)
-              ~steals_in:(w.w_local_steals + w.w_overflow_in)
-              ~steals_out:(Atomic.get sp.sp_stolen_away)
-              ~parks:w.w_parks ~wakes:w.w_wakes ~quantum:w.w_quantum ~util)
-          workers;
-        prev_ts := now;
-        due := now +. period;
-        incr sweeps;
-        if !sweeps mod tel_rotate = 0 then Preempt_core.Telemetry.rotate_windows tel
-      end;
-      Atomic.set token false
-    end
-
 let make (cfg : Config.t) =
   (* [Config.make] already validated; re-validate so hand-built records
      go through the same gate. *)
@@ -686,10 +631,10 @@ let make (cfg : Config.t) =
           w_parks = 0;
           w_wakes = 0;
           w_idle_s = 0.0;
+          w_preempts = 0;
           pad0 = 0;
           pad1 = 0;
           pad2 = 0;
-          pad3 = 0;
         })
   in
   (* The spill closure a batched raid flushes extra tasks through:
@@ -705,32 +650,10 @@ let make (cfg : Config.t) =
           Scheduler.push sp.inst ~slot:w.w_slot task))
     workers;
   let recorder =
-    (* A disabled recorder keeps only a token ring so pools without
-       observability pay no memory for it. *)
-    let capacity =
-      if cfg.Config.recorder_enabled then cfg.Config.recorder_capacity else 16
-    in
-    let r = Preempt_core.Recorder.create ~n_workers:n ~capacity in
-    Preempt_core.Recorder.set_enabled r cfg.Config.recorder_enabled;
-    r
+    Preempt_core.Recorder.create ~n_workers:n
+      ~capacity:cfg.Config.recorder_capacity
   in
-  let telemetry =
-    (* Same discipline as the recorder: a disabled telemetry keeps only
-       token rings (and no windows) so it costs no memory. *)
-    let capacity =
-      if cfg.Config.telemetry_enabled then cfg.Config.telemetry_capacity else 4
-    in
-    let channels =
-      if cfg.Config.telemetry_enabled then cfg.Config.telemetry_channels else 0
-    in
-    let t = Preempt_core.Telemetry.create ~n_workers:n ~capacity ~channels in
-    Preempt_core.Telemetry.set_enabled t cfg.Config.telemetry_enabled;
-    t
-  in
-  let tel_sweep =
-    make_sweep ~workers ~subpools ~tel:telemetry ~t0
-      ~period:(float_of_int cfg.Config.telemetry_every *. interval0)
-  in
+  Preempt_core.Recorder.set_enabled recorder cfg.Config.recorder_enabled;
   let pool =
     {
       workers;
@@ -740,11 +663,8 @@ let make (cfg : Config.t) =
       shutdown = Atomic.make false;
       preempt_interval = cfg.Config.preempt_interval;
       quantum_bounds;
-      preempt_count = Atomic.make 0;
       recorder;
       rec_t0 = t0;
-      telemetry;
-      tel_sweep;
     }
   in
   (* Worker 0 is the caller inside [run]; spawn domains for the rest. *)
@@ -758,11 +678,7 @@ let domains pool = Array.length pool.workers
 let subpools pool =
   Array.to_list (Array.map (fun sp -> sp.sp_name) pool.subpools)
 
-let preemptions pool = Atomic.get pool.preempt_count
-
 let recorder pool = pool.recorder
-
-let telemetry pool = pool.telemetry
 
 (* True iff the current worker's quantum has ended: one clock read.
    Lets a workload bracket the [check ()] it is about to take with span
@@ -791,20 +707,8 @@ let emit_flight ?at code a b =
         Preempt_core.Recorder.emit r w.wid (wall -. pool.rec_t0) code a b
   | None -> ()
 
-(* Feed the current worker's sliding sojourn window for [channel].
-   Called on the worker that completed the request, so each window
-   keeps its single writer.  No-op outside a worker or with telemetry
-   disabled. *)
-let telemetry_observe ~channel v =
-  match Domain.DLS.get current_worker with
-  | Some (pool, w) ->
-      let tel = pool.telemetry in
-      if Preempt_core.Telemetry.enabled tel then
-        Preempt_core.Telemetry.observe tel ~worker:w.wid ~channel v
-  | None -> ()
-
-(* Wall-clock origin of recorder/telemetry timestamps, for callers
-   that emit events with [~at] or align external clocks. *)
+(* Wall-clock origin of recorder timestamps, for callers that emit
+   events with [~at] or align external clocks. *)
 let clock_origin pool = pool.rec_t0
 
 type subpool_stats = {
@@ -825,47 +729,77 @@ type subpool_stats = {
 
 let adaptive pool = pool.quantum_bounds <> None
 
+type worker_stats = {
+  ws_worker : int;
+  ws_subpool : string;
+  ws_spawned : int;
+  ws_local_steals : int;
+  ws_overflow_in : int;
+  ws_inline_joins : int;
+  ws_batch_stolen : int;
+  ws_parks : int;
+  ws_wakes : int;
+  ws_idle_s : float;
+  ws_quantum : float;
+  ws_preempts : int;
+}
+
+(* One racy read of every worker's owner-written fields: the one
+   counter set [stats], [preemptions] and the live view fold.  The
+   owners keep bumping these cells while we read them; clamp negative
+   transients the same way [Deque.length] does so a concurrent sampler
+   never reports a negative count. *)
+let read_workers pool =
+  let c v = Stdlib.max 0 v in
+  Array.map
+    (fun w ->
+      {
+        ws_worker = w.wid;
+        ws_subpool = pool.subpools.(w.w_sp).sp_name;
+        ws_spawned = c w.w_spawned;
+        ws_local_steals = c w.w_local_steals;
+        ws_overflow_in = c w.w_overflow_in;
+        ws_inline_joins = c w.w_inline_joins;
+        ws_batch_stolen = c w.w_batch_stolen;
+        ws_parks = c w.w_parks;
+        ws_wakes = c w.w_wakes;
+        ws_idle_s = Float.max 0.0 w.w_idle_s;
+        ws_quantum = w.w_quantum;
+        ws_preempts = c w.w_preempts;
+      })
+    pool.workers
+
+let worker_stats pool = Array.to_list (read_workers pool)
+
+let preemptions pool =
+  Array.fold_left (fun acc ws -> acc + ws.ws_preempts) 0 (read_workers pool)
+
 let stats pool =
+  let ws = read_workers pool in
+  let c v = Stdlib.max 0 v in
   Array.to_list
     (Array.map
        (fun sp ->
-         let spawned = ref (Atomic.get sp.sp_ext_spawned) in
-         let local = ref 0 in
-         let ovin = ref 0 in
-         let inline = ref 0 in
-         let batched = ref 0 in
-         Array.iter
-           (fun wid ->
-             let w = pool.workers.(wid) in
-             spawned := !spawned + w.w_spawned;
-             local := !local + w.w_local_steals;
-             ovin := !ovin + w.w_overflow_in;
-             inline := !inline + w.w_inline_joins;
-             batched := !batched + w.w_batch_stolen)
-           sp.sp_members;
-         (* The sums above read plain owner-written cells while the
-            owners keep bumping them; clamp negative transients the
-            same way [Deque.length] does so a concurrent sampler never
-            reports a negative count. *)
-         let c v = Stdlib.max 0 v in
+         let sum f =
+           Array.fold_left (fun acc wid -> acc + f ws.(wid)) 0 sp.sp_members
+         in
          {
            st_name = sp.sp_name;
            st_workers = Array.length sp.sp_members;
-           st_spawned = c !spawned;
-           st_local_steals = c !local;
-           st_overflow_in = c !ovin;
+           st_spawned =
+             c (Atomic.get sp.sp_ext_spawned) + sum (fun w -> w.ws_spawned);
+           st_local_steals = sum (fun w -> w.ws_local_steals);
+           st_overflow_in = sum (fun w -> w.ws_overflow_in);
            st_overflow_out = c (Atomic.get sp.sp_stolen_away);
-           st_inline_joins = c !inline;
-           st_batch_stolen = c !batched;
+           st_inline_joins = sum (fun w -> w.ws_inline_joins);
+           st_batch_stolen = sum (fun w -> w.ws_batch_stolen);
            st_recycled = 0;
            st_recycle_miss = 0;
            st_leapfrog = 0;
            st_pending = c (Scheduler.length sp.inst);
            st_quanta =
              Array.to_list
-               (Array.map
-                  (fun wid -> (wid, pool.workers.(wid).w_quantum))
-                  sp.sp_members);
+               (Array.map (fun wid -> (wid, ws.(wid).ws_quantum)) sp.sp_members);
          })
        pool.subpools)
 

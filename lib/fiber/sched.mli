@@ -45,11 +45,19 @@ val subpools : pool -> string list
 
 (** [run pool main] executes [main ()] as a fiber (in worker 0's
     sub-pool), with the calling thread participating as a worker, and
-    returns its result.  Re-raises any exception [main] threw.  Not
-    reentrant from inside a fiber. *)
+    returns its result as soon as [main] finishes.  Re-raises any
+    exception [main] threw.  Not reentrant from inside a fiber.
+
+    Queued work outlives [run]: fibers that [main] spawned and never
+    awaited stay queued when it returns.  Workers 1 … n−1 keep running
+    them between runs; worker 0 serves its queues only inside [run],
+    so on a 1-domain pool they run during the next [run]. *)
 val run : pool -> (unit -> 'a) -> 'a
 
-(** Stop the worker domains and join them.  The pool cannot be reused. *)
+(** Stop the worker domains and join them.  The pool cannot be reused.
+    Each worker stops at its next scheduling step, so tasks still
+    queued are never run: [shutdown] returns without waiting for them,
+    and {!stats}[.st_pending] still counts them afterwards. *)
 val shutdown : pool -> unit
 
 (** [submit pool ~pool:name body] — external submission from {e outside}
@@ -111,8 +119,8 @@ val suspend_or : ((unit -> unit) -> [ `Continue | `Suspended ]) -> unit
     comes at most 64 safe points after the deadline.  On expiry the
     worker picks its next quantum ([preempt_interval], or the
     {!Quantum} controller's choice on an adaptive pool), counts the
-    preemption, takes the telemetry sweep when one is due, and yields.
-    Without [preempt_interval] it never reads the clock. *)
+    preemption in its own counter, and yields.  Without
+    [preempt_interval] it never reads the clock. *)
 val check : unit -> unit
 
 (** True once the promise is fulfilled (never blocks). *)
@@ -124,7 +132,8 @@ val is_resolved : 'a promise -> bool
     {!check} safe point between iterations. *)
 val parallel_for : int -> int -> (int -> unit) -> unit
 
-(** Number of preemptions taken (quantum expiries at {!check}). *)
+(** Number of preemptions taken (quantum expiries at {!check}): the sum
+    of {!worker_stats}[.ws_preempts]. *)
 val preemptions : pool -> int
 
 (** [parallel_map f xs] — apply [f] to every element in parallel fibers
@@ -172,8 +181,35 @@ type subpool_stats = {
           quantum the {!Quantum} controller last chose. *)
 }
 
-(** One entry per sub-pool, in configuration order. *)
+(** One entry per sub-pool, in configuration order: the fold of one
+    {!worker_stats} read by sub-pool, plus the sub-pool's own
+    submission, steal-away and queue-length counts. *)
 val stats : pool -> subpool_stats list
+
+(** Per-worker counters: one racy read of the fields each worker
+    writes for itself (no atomics, no locks), clamped like
+    {!subpool_stats}.  Cumulative since {!make}; stale by a few
+    operations under load, exact once the pool is quiescent.  This is
+    the one counter set behind {!stats}, {!preemptions} and the live
+    view ([repro top]), which derives utilization by differencing
+    [ws_idle_s] between its own reads. *)
+type worker_stats = {
+  ws_worker : int;  (** global worker id *)
+  ws_subpool : string;  (** name of the worker's sub-pool *)
+  ws_spawned : int;  (** local forks *)
+  ws_local_steals : int;  (** same-sub-pool steals *)
+  ws_overflow_in : int;  (** successful overflow raids on other sub-pools *)
+  ws_inline_joins : int;  (** awaits that ran their child inline *)
+  ws_batch_stolen : int;  (** extra tasks batched raids brought home *)
+  ws_parks : int;  (** condvar sleeps *)
+  ws_wakes : int;  (** wakes after a sleep *)
+  ws_idle_s : float;  (** seconds spent parked *)
+  ws_quantum : float;  (** current preemption quantum, as in [st_quanta] *)
+  ws_preempts : int;  (** quantum expiries taken at {!check} *)
+}
+
+(** One entry per worker, in worker-id order. *)
+val worker_stats : pool -> worker_stats list
 
 (** True iff the pool was built with [Config.adaptive] (per-worker
     quanta driven by the {!Quantum} controller). *)
@@ -186,20 +222,9 @@ val adaptive : pool -> bool
     separately from local steals. *)
 val recorder : pool -> Preempt_core.Recorder.t
 
-(** The pool's live telemetry (armed via [Config.telemetry]): about
-    every [Config.telemetry_every] × [preempt_interval] seconds, one
-    worker whose quantum expires wins the sweep and samples every
-    worker's state — run-queue depth, steals in/out, park/wake counts,
-    current quantum, utilization since the last sample — into
-    fixed-capacity per-worker time-series rings.  Workers that never
-    reach a safe point are sampled too, as long as some worker expires.
-    The live view ([repro top]) reads it while the pool runs; disabled
-    it costs one boolean load per quantum expiry. *)
-val telemetry : pool -> Preempt_core.Telemetry.t
-
-(** Wall-clock origin of recorder and telemetry timestamps (the
-    instant the pool was built), for callers aligning external clocks
-    or emitting events with {!emit_flight}[ ~at]. *)
+(** Wall-clock origin of recorder timestamps (the instant the pool was
+    built), for callers aligning external clocks or emitting events
+    with {!emit_flight}[ ~at]. *)
 val clock_origin : pool -> float
 
 (** True iff the current worker's quantum has ended — one clock read.
@@ -218,10 +243,3 @@ val preempt_pending : unit -> bool
     serving workload uses this for its per-request span codes
     ([Recorder.ev_req_arrival] ... [ev_req_done]). *)
 val emit_flight : ?at:float -> int -> int -> int -> unit
-
-(** [telemetry_observe ~channel v] — add a sojourn sample to the
-    current worker's sliding window for [channel] (the serving
-    workload uses one channel per service class).  Single-writer per
-    window by construction; no-op outside a worker or with telemetry
-    disabled. *)
-val telemetry_observe : channel:int -> float -> unit

@@ -50,7 +50,6 @@ type config = {
   quantum_min : float option;
   quantum_max : float option;
   recorder : bool;  (* arm the flight recorder (steals, quantum moves) *)
-  telemetry : bool;  (* arm live telemetry (per-worker time series) *)
 }
 
 let default =
@@ -68,7 +67,6 @@ let default =
     quantum_min = None;
     quantum_max = None;
     recorder = false;
-    telemetry = false;
   }
 
 let reject field value requirement =
@@ -93,10 +91,7 @@ let validate c =
         reject "arrival.period" (Printf.sprintf "%g" period) "positive";
       if not (on_frac > 0.0 && on_frac <= 1.0) then
         reject "arrival.on_frac" (Printf.sprintf "%g" on_frac)
-          "within (0, 1]");
-  (* The telemetry sweep rides quantum expiries. *)
-  if c.telemetry && c.preempt_interval = None then
-    reject "telemetry" "true" "combined with preempt_interval"
+          "within (0, 1]")
 
 (* ------------------------------------------------------------------ *)
 (* Arrival schedule: (arrival offset, class) rows, offset-ascending,
@@ -210,6 +205,8 @@ let class_report ~cls ~offered lat =
 
 let cls_id = function Short -> 0 | Long -> 1
 
+type requests = { rq_schedule : (float * cls) array; rq_sojourn : float array }
+
 let run ?dump ?on_pool c =
   let sched = schedule c in
   let n = Array.length sched in
@@ -217,17 +214,21 @@ let run ?dump ?on_pool c =
     Fiber.make
       (Fiber.Config.make ~domains:c.domains ?preempt_interval:c.preempt_interval
          ~adaptive:c.adaptive ?quantum_min:c.quantum_min
-         ?quantum_max:c.quantum_max ~recorder:c.recorder
-         ~telemetry:c.telemetry ())
+         ?quantum_max:c.quantum_max ~recorder:c.recorder ())
   in
-  let stop_live = match on_pool with Some f -> f pool | None -> fun () -> () in
   (* Per-request span tracing rides the flight recorder; [traced] is
      captured once so an untraced run pays nothing per request. *)
   let traced = Preempt_core.Recorder.enabled (Fiber.recorder pool) in
   let module R = Preempt_core.Recorder in
   (* Per-request sojourn, written by the request fiber into its own
-     slot (disjoint writes, no shared histogram on the hot path). *)
+     slot (disjoint writes, no shared histogram on the hot path).  A
+     live view reads the slots from its own thread. *)
   let lat = Array.make (Stdlib.max 1 n) Float.nan in
+  let stop_live =
+    match on_pool with
+    | Some f -> f pool { rq_schedule = sched; rq_sojourn = lat }
+    | None -> fun () -> ()
+  in
   let promises = Array.make (Stdlib.max 1 n) None in
   let t0 = ref 0.0 in
   Fiber.run pool (fun () ->
@@ -245,13 +246,12 @@ let run ?dump ?on_pool c =
         let service =
           match cls with Short -> c.short_service | Long -> c.long_service
         in
-        let ch = cls_id cls in
         (* Span head: the request id is the schedule index, allocated
            here at injection and carried into the fiber by capture.
            Arrival is stamped at the *scheduled* instant, so injector
            lateness shows up as an arrival -> enqueue gap. *)
         if traced then begin
-          Fiber.emit_flight ~at:due R.ev_req_arrival i ch;
+          Fiber.emit_flight ~at:due R.ev_req_arrival i (cls_id cls);
           Fiber.emit_flight R.ev_req_enqueue i 0
         end;
         promises.(i) <-
@@ -283,8 +283,7 @@ let run ?dump ?on_pool c =
                  lat.(i) <- sojourn;
                  if traced then
                    Fiber.emit_flight ~at:tdone R.ev_req_done i
-                     (int_of_float (sojourn *. 1e9));
-                 Fiber.telemetry_observe ~channel:ch sojourn))
+                     (int_of_float (sojourn *. 1e9))))
       done;
       Array.iter (function Some p -> Fiber.await p | None -> ()) promises);
   let elapsed = wall () -. !t0 in

@@ -43,10 +43,6 @@ type config = {
   quantum_min : float option;
   quantum_max : float option;
   recorder : bool;  (** arm the flight recorder for the run *)
-  telemetry : bool;
-      (** arm live telemetry ({!Preempt_core.Telemetry}): per-worker
-          time-series sampling plus per-class rolling sojourn windows;
-          requires [preempt_interval] *)
 }
 
 (** 20k req/s Poisson for 1 s, 5% long (2 ms) / 95% short (20 us),
@@ -92,21 +88,32 @@ type report = {
           overhead from the span timestamps alone *)
 }
 
+(** A run's requests as a live view reads them while the run goes on. *)
+type requests = {
+  rq_schedule : (float * cls) array;  (** the run's {!schedule} *)
+  rq_sojourn : float array;
+      (** sojourn in seconds per request, indexed like [rq_schedule]:
+          [nan] until the request completes, then written once by the
+          request fiber.  A reader on another thread races with that
+          single store and sees either [nan] or the final value. *)
+}
+
 (** Build the pool, inject the schedule open-loop, await every
     response, tear the pool down, and report.  Wall-clock heavy by
     design — this is the load generator, not a unit test.  [?dump]
     saves the flight record ({!Preempt_core.Recorder.save}) before
     teardown when the recorder is armed, for [repro observe --load]
-    attribution.  [?on_pool] is called with the freshly built pool
-    before injection starts (the live-view attach point, see
-    {!Top.attach}); the closure it returns is called after the run
-    drains, before pool teardown. *)
-val run : ?dump:string -> ?on_pool:(Fiber.pool -> unit -> unit) -> config -> report
+    attribution.  [?on_pool] is called with the freshly built pool and
+    the run's {!requests} before injection starts (the live-view attach
+    point, see {!Top.attach}); the closure it returns is called after
+    the run drains, before pool teardown. *)
+val run :
+  ?dump:string -> ?on_pool:(Fiber.pool -> requests -> unit -> unit) -> config -> report
 
 val cls_name : cls -> string
 
-(** Stable channel/class id: [Short] = 0, [Long] = 1 — the telemetry
-    channel and the [b] payload of [Recorder.ev_req_arrival]. *)
+(** Stable class id: [Short] = 0, [Long] = 1 — the [b] payload of
+    [Recorder.ev_req_arrival]. *)
 val cls_id : cls -> int
 
 val print_text : report -> unit

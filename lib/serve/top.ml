@@ -1,17 +1,18 @@
-(* The live view behind [repro top]: a display thread samples the
-   pool's telemetry and stats at a configurable period (1 Hz default)
-   and renders either an ANSI terminal table or one JSON object per
-   tick (JSONL, for machines).  Frame construction is pure given the
-   snapshot values, so the rendering is unit-testable without a live
-   pool; only [attach] touches threads. *)
+(* The live view behind [repro top]: a display thread reads the pool's
+   one counter set ([Fiber.worker_stats], [Fiber.stats]) at a
+   configurable period (1 Hz default) and renders either an ANSI
+   terminal table or one JSON object per tick (JSONL, for machines).
+   Everything derived across ticks (utilization, the depth sparkline,
+   per-class quantiles of the requests completed in between) is kept
+   by the display thread itself, so the workers and the request fibers
+   do no work for the view.  Frame construction is pure given the
+   reads, so the rendering is unit-testable without a live pool; only
+   [attach] touches threads. *)
 
 module Hist = Preempt_core.Metrics.Hist
-module Tel = Preempt_core.Telemetry
 
 type mode = Text | Jsonl
 
-(* One worker row: the latest telemetry point plus rates derived by
-   differencing against the point [spark_window] samples back. *)
 type row = {
   t_worker : int;
   t_subpool : string;
@@ -26,85 +27,92 @@ type row = {
 }
 
 type frame = {
-  f_ts : float;  (* seconds since pool start (telemetry clock) *)
+  f_ts : float;  (* seconds since pool start *)
   f_rows : row list;  (* worker order *)
   f_subpools : Fiber.subpool_stats list;
   f_quantum_lo : float;
   f_quantum_hi : float;
   f_quantiles : (string * int * float * float) list;
-      (* (class name, window samples, p50, p99) per telemetry channel *)
+      (* (class name, requests completed since the previous frame, p50, p99) *)
 }
 
 let spark_window = 32
 
-let class_names = [| "short"; "long" |]
-
-let channel_name ch =
-  if ch >= 0 && ch < Array.length class_names then class_names.(ch)
-  else Printf.sprintf "class%d" ch
-
 (* ------------------------------------------------------------------ *)
-(* Sampling a frame from a live pool. *)
+(* Frames from successive reads. *)
 
-let frame pool =
-  let tel = Fiber.telemetry pool in
-  let stats = Fiber.stats pool in
-  let sub_of = Hashtbl.create 8 in
-  List.iter
-    (fun st ->
-      List.iter
-        (fun (wid, _) -> Hashtbl.replace sub_of wid st.Fiber.st_name)
-        st.Fiber.st_quanta)
-    stats;
-  let n = Tel.n_workers tel in
-  let ts = ref 0.0 in
+type history = {
+  mutable h_ts : float;
+  mutable h_idle : float array;  (* each worker's [ws_idle_s] at [h_ts] *)
+  mutable h_spark : int array array;
+}
+
+let history () = { h_ts = 0.0; h_idle = [||]; h_spark = [||] }
+
+let frame h ~ts workers subpools completed =
+  let n = List.length workers in
+  if Array.length h.h_idle <> n then begin
+    h.h_idle <- Array.make n 0.0;
+    h.h_spark <- Array.make n [||]
+  end;
+  let dt = ts -. h.h_ts in
   let rows =
-    List.init n (fun w ->
-        let series = Tel.series tel ~worker:w in
-        let m = Array.length series in
-        let last =
-          if m = 0 then None
-          else begin
-            let p = series.(m - 1) in
-            if p.Tel.p_ts > !ts then ts := p.Tel.p_ts;
-            Some p
-          end
+    List.mapi
+      (fun k (w : Fiber.worker_stats) ->
+        let depth, out =
+          match
+            List.find_opt (fun st -> st.Fiber.st_name = w.Fiber.ws_subpool) subpools
+          with
+          | Some st -> (st.Fiber.st_pending, st.Fiber.st_overflow_out)
+          | None -> (0, 0)
         in
-        let tail = Stdlib.min m spark_window in
+        (* Share of the period spent unparked.  Both reads are racy, so
+           the difference can leave [0, dt]; clamp it. *)
+        let util =
+          if dt <= 0.0 then 1.0
+          else
+            Float.min 1.0
+              (Float.max 0.0 (1.0 -. ((w.Fiber.ws_idle_s -. h.h_idle.(k)) /. dt)))
+        in
+        h.h_idle.(k) <- w.Fiber.ws_idle_s;
+        let prev = h.h_spark.(k) in
+        let keep = Stdlib.min (Array.length prev) (spark_window - 1) in
         let spark =
-          Array.init tail (fun k -> series.(m - tail + k).Tel.p_depth)
+          Array.append (Array.sub prev (Array.length prev - keep) keep) [| depth |]
         in
+        h.h_spark.(k) <- spark;
         {
-          t_worker = w;
-          t_subpool =
-            (match Hashtbl.find_opt sub_of w with Some s -> s | None -> "?");
-          t_depth = (match last with Some p -> p.Tel.p_depth | None -> 0);
-          t_steals_in = (match last with Some p -> p.Tel.p_steals_in | None -> 0);
-          t_steals_out =
-            (match last with Some p -> p.Tel.p_steals_out | None -> 0);
-          t_parks = (match last with Some p -> p.Tel.p_parks | None -> 0);
-          t_wakes = (match last with Some p -> p.Tel.p_wakes | None -> 0);
-          t_quantum = (match last with Some p -> p.Tel.p_quantum | None -> 0.0);
-          t_util = (match last with Some p -> p.Tel.p_util | None -> 0.0);
+          t_worker = w.Fiber.ws_worker;
+          t_subpool = w.Fiber.ws_subpool;
+          t_depth = depth;
+          t_steals_in = w.Fiber.ws_local_steals + w.Fiber.ws_overflow_in;
+          t_steals_out = out;
+          t_parks = w.Fiber.ws_parks;
+          t_wakes = w.Fiber.ws_wakes;
+          t_quantum = w.Fiber.ws_quantum;
+          t_util = util;
           t_spark = spark;
         })
+      workers
   in
-  let quanta =
-    List.concat_map (fun st -> List.map snd st.Fiber.st_quanta) stats
-  in
+  h.h_ts <- ts;
+  let quanta = List.map (fun (w : Fiber.worker_stats) -> w.Fiber.ws_quantum) workers in
   let quantiles =
-    List.init (Tel.channels tel) (fun ch ->
-        let sk = Tel.channel_sketch tel ~channel:ch in
+    List.map
+      (fun cls ->
+        let sk = Hist.create () in
+        List.iter (fun (c, v) -> if c = cls then Hist.add sk v) completed;
         let nn = Hist.count sk in
-        ( channel_name ch,
+        ( Serve.cls_name cls,
           nn,
           (if nn = 0 then Float.nan else Hist.quantile sk 50.0),
           if nn = 0 then Float.nan else Hist.quantile sk 99.0 ))
+      [ Serve.Short; Serve.Long ]
   in
   {
-    f_ts = !ts;
+    f_ts = ts;
     f_rows = rows;
-    f_subpools = stats;
+    f_subpools = subpools;
     f_quantum_lo =
       List.fold_left Float.min Float.infinity
         (if quanta = [] then [ 0.0 ] else quanta);
@@ -217,10 +225,42 @@ let frame_to_json f =
 
 let clear_screen = "\027[2J\027[H"
 
-let attach ?(period = 1.0) ?(out = stdout) ~mode pool =
+let attach ?(period = 1.0) ?(out = stdout) ~mode pool (rq : Serve.requests) =
   let stop = Atomic.make false in
+  let origin = Fiber.clock_origin pool in
+  let h = history () in
+  let sched = rq.Serve.rq_schedule and soj = rq.Serve.rq_sojourn in
+  let n = Array.length sched in
+  (* Requests already counted, and the first one not yet counted.  A
+     request completes only after it was due, and the injection starts
+     after the pool's clock origin, so the scan stops at the first
+     request due after [now]. *)
+  let seen = Bytes.make n '\000' in
+  let lo = ref 0 in
+  let completed now =
+    let acc = ref [] in
+    let i = ref !lo in
+    while !i < n && origin +. fst sched.(!i) <= now do
+      if Bytes.get seen !i = '\000' then begin
+        let v = soj.(!i) in
+        if not (Float.is_nan v) then begin
+          Bytes.set seen !i '\001';
+          acc := (snd sched.(!i), v) :: !acc
+        end
+      end;
+      incr i
+    done;
+    while !lo < n && Bytes.get seen !lo <> '\000' do
+      incr lo
+    done;
+    !acc
+  in
   let tick () =
-    let f = frame pool in
+    let now = Unix.gettimeofday () in
+    let f =
+      frame h ~ts:(now -. origin) (Fiber.worker_stats pool) (Fiber.stats pool)
+        (completed now)
+    in
     (match mode with
     | Text ->
         output_string out clear_screen;

@@ -223,7 +223,7 @@ let stats_sampler_smoke ~domains ~rounds =
     (Atomic.get snapshots) rounds
 
 (* ------------------------------------------------------------------ *)
-(* 5. Span round-trip: a small recorder+telemetry serving run, dumped
+(* 5. Span round-trip: a small recorder-armed serving run, dumped
    and re-analyzed, must decompose every complete request span into
    queueing + service + preemption overhead whose sum reproduces the
    measured sojourn bucket-for-bucket — the exactness [repro observe]
@@ -237,7 +237,6 @@ let serve_span_smoke () =
       duration = 0.25;
       domains = 3;
       recorder = true;
-      telemetry = true;
     }
   in
   let path = Filename.temp_file "serve_span_smoke" ".flt" in

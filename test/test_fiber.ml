@@ -108,11 +108,10 @@ let test_quantum_is_kept () =
 
 let test_live_telemetry () =
   (* Worker 0 runs a main fiber that never reaches a safe point; the
-     checkers on worker 1 take every sweep and must sample worker 0
-     too. *)
+     greedy fibers on worker 1 take every expiry.  Each worker counts
+     its own preemptions, and their sum is the pool's count. *)
   let cfg =
-    Fiber.Config.make ~domains:2 ~preempt_interval:0.001 ~telemetry:true
-      ~telemetry_every:1
+    Fiber.Config.make ~domains:2 ~preempt_interval:0.001
       ~subpools:
         [
           Fiber.Config.subpool ~name:"main" ~workers:[ 0 ] ();
@@ -128,18 +127,20 @@ let test_live_telemetry () =
           while Unix.gettimeofday () < until do
             ()
           done;
-          List.iter Fiber.await ps);
-      let tel = Fiber.telemetry pool in
-      for w = 0 to 1 do
-        let s = Preempt_core.Telemetry.series tel ~worker:w in
-        if Array.length s = 0 then Alcotest.failf "worker %d: empty series" w;
-        Array.iteri
-          (fun k (p : Preempt_core.Telemetry.point) ->
-            if k > 0 && p.p_seq <= s.(k - 1).p_seq then
-              Alcotest.failf "worker %d: p_seq not strictly monotone at %d" w k;
-            Alcotest.(check (float 0.0)) "p_quantum" 1e-3 p.p_quantum)
-          s
-      done)
+          List.iter Fiber.await ps));
+  match Fiber.worker_stats pool with
+  | [ w0; w1 ] ->
+      Alcotest.(check int) "worker 0 id" 0 w0.Fiber.ws_worker;
+      Alcotest.(check string) "worker 1 sub-pool" "spin" w1.Fiber.ws_subpool;
+      Alcotest.(check int) "worker 0 never expires" 0 w0.Fiber.ws_preempts;
+      if w1.Fiber.ws_preempts <= 0 then
+        Alcotest.fail "worker 1 took no preemption in 100 ms at 1 ms";
+      Alcotest.(check (float 0.0)) "worker 0 quantum" 1e-3 w0.Fiber.ws_quantum;
+      Alcotest.(check (float 0.0)) "worker 1 quantum" 1e-3 w1.Fiber.ws_quantum;
+      Alcotest.(check int) "per-worker sum is the pool's count"
+        (Fiber.preemptions pool)
+        (w0.Fiber.ws_preempts + w1.Fiber.ws_preempts)
+  | ws -> Alcotest.failf "%d worker rows for 2 domains" (List.length ws)
 
 let test_live_adaptive () =
   (* Eight greedy fibers queued on one adaptive worker: every expiry
@@ -198,6 +199,29 @@ let test_pool_reuse_across_runs () =
   with_pool (fun pool ->
       Alcotest.(check int) "first" 1 (Fiber.run pool (fun () -> 1));
       Alcotest.(check int) "second" 2 (Fiber.run pool (fun () -> 2)))
+
+(* Queued work at [run] and [shutdown]: worker 0 serves the queues only
+   inside [run], so on one domain a child that [main] never awaited
+   waits for the next [run]; [shutdown] drops what is still queued. *)
+let test_unawaited_child_runs_next () =
+  with_pool ~domains:1 (fun pool ->
+      let ran = Atomic.make false in
+      Fiber.run pool (fun () -> ignore (Fiber.spawn (fun () -> Atomic.set ran true)));
+      Alcotest.(check bool) "not run by the first run" false (Atomic.get ran);
+      Fiber.run pool (fun () -> ());
+      Alcotest.(check bool) "run by the next run" true (Atomic.get ran))
+
+let test_shutdown_drops_queued () =
+  let pool = Fiber.make (Fiber.Config.make ~domains:1 ()) in
+  let ran = Atomic.make 0 in
+  Fiber.run pool (fun () ->
+      for _ = 1 to 3 do
+        ignore (Fiber.spawn (fun () -> Atomic.incr ran))
+      done);
+  Fiber.shutdown pool;
+  Alcotest.(check int) "no queued task ran" 0 (Atomic.get ran);
+  Alcotest.(check (list int)) "st_pending counts them" [ 3 ]
+    (List.map (fun st -> st.Fiber.st_pending) (Fiber.stats pool))
 
 let test_shutdown_rejects_run () =
   let pool = Fiber.make (Fiber.Config.make ~domains:1 ()) in
@@ -578,6 +602,10 @@ let suite =
     Alcotest.test_case "live adaptive quanta" `Quick test_live_adaptive;
     Alcotest.test_case "pool reuse" `Quick test_pool_reuse_across_runs;
     Alcotest.test_case "shutdown rejects run" `Quick test_shutdown_rejects_run;
+    Alcotest.test_case "unawaited child runs on the next run" `Quick
+      test_unawaited_child_runs_next;
+    Alcotest.test_case "shutdown drops queued tasks" `Quick
+      test_shutdown_drops_queued;
     Alcotest.test_case "parallel_map" `Quick test_parallel_map;
     Alcotest.test_case "targeted spawn" `Quick test_targeted_spawn;
     Alcotest.test_case "unknown sub-pool rejected" `Quick

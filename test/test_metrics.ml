@@ -110,8 +110,8 @@ let test_quantile_edges () =
   Alcotest.(check bool) "quantile within a bucket of percentile" true
     (Float.abs (q -. H.percentile h 99.9) <= hi -. lo)
 
-(* The merge used by telemetry's sliding windows and cross-worker
-   sketches: bucket-wise sum, so quantiles of the merge equal the
+(* The merge [Serve] uses for its cross-class aggregate: bucket-wise
+   sum, so quantiles of the merge equal the
    quantiles of adding both sample streams to one histogram. *)
 let test_merge () =
   let a = H.create () and b = H.create () in
