@@ -6,10 +6,13 @@
     the pop sequence is fixed by the [(key, seq)] total order regardless
     of the heap's internal layout.
 
-    The store is four parallel arrays (struct-of-arrays) so the hot
-    sift loops compare unboxed floats; cancellation marks a tombstone in
-    O(1) and dead entries are skipped at the root or bulk-compacted once
-    they outnumber live ones. *)
+    The heap proper is three parallel arrays of unboxed words (float
+    keys, int seqs, int slots), so the hot sift loops compare unboxed
+    floats and store no pointer.  Each element's value and cancel handle
+    are written once per push into arrays indexed by its slot, which is
+    recycled after the element leaves the heap.  Cancellation marks a
+    tombstone in O(1) and dead entries are skipped at the root or
+    bulk-compacted once they outnumber live ones. *)
 
 type 'a t
 
@@ -48,13 +51,6 @@ val min_key : 'a t -> float
     @raise Not_found if the heap has no live element. *)
 val pop : 'a t -> 'a
 
-(** [pop_min h] removes and returns the minimum live (key, value).
-    @raise Not_found if the heap has no live element. *)
-val pop_min : 'a t -> float * 'a
-
-(** [peek_min h] returns the minimum live element without removing it. *)
-val peek_min : 'a t -> (float * 'a) option
-
 (** [tie_count h] is the number of live elements whose key equals the
     minimum key (0 on an empty heap).  O(size) scan — intended for the
     schedule-exploration path, not the default dispatch loop. *)
@@ -80,10 +76,3 @@ val tie_seqs : 'a t -> int array
     @raise Not_found on an empty heap.
     @raise Invalid_argument if [j] is not below {!tie_count}. *)
 val pop_tie : 'a t -> int -> 'a
-
-(** [clear h] removes every element.  Handles issued before the clear
-    stay valid to cancel but refer to elements that no longer exist. *)
-val clear : 'a t -> unit
-
-(** [to_list h] returns live elements in unspecified order (testing aid). *)
-val to_list : 'a t -> (float * 'a) list

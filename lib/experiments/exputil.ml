@@ -42,10 +42,10 @@ let seconds v = Printf.sprintf "%.3f s" v
    hook, no printing, no files.  The simulation libraries keep no
    top-level mutable state a job could write: the only top-level
    mutable values are [Desim.Heap]'s sentinel handle, which is never
-   written, [Chart.glyphs], which is only read, and the [Obs] refs
-   below, which the front end sets before a run.  So a point computes
-   the same bits on any domain, and the sweep the same results as
-   [List.map]. *)
+   written, [Chart.glyphs] and [Oskern.Types.nice_weight]'s table, which
+   are only read, and the [Obs] refs below, which the front end sets
+   before a run.  So a point computes the same bits on any domain, and
+   the sweep the same results as [List.map]. *)
 let par_map f xs =
   let jobs = Array.of_list xs in
   let n = Array.length jobs in

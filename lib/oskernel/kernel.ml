@@ -259,12 +259,9 @@ and newidle_balance t core =
     Array.iter
       (fun other ->
         if other.cid <> core.cid then
-          let eligible =
-            List.filter (fun k -> Cpuset.mem k.affinity core.cid) other.queued
-          in
-          match eligible with
-          | [] -> ()
-          | k :: _ -> (
+          match List.find_opt (fun k -> Cpuset.mem k.affinity core.cid) other.queued with
+          | None -> ()
+          | Some k -> (
               let load = core_load other in
               match !best with
               | Some (bl, _, _) when bl >= load -> ()
@@ -715,7 +712,8 @@ let pthread_kill t ~sender target signo =
 (* The balance timer is armed lazily (first spawn) and disarms itself
    once every KLT has exited, so [Engine.run] can terminate. *)
 let rec balance_tick t =
-  if live_klts t = [] then t.balance_running <- false
+  if not (List.exists (fun k -> k.state <> Zombie) t.all_klts) then
+    t.balance_running <- false
   else
     Engine.post_after t.eng t.c.balance_interval (fun () ->
          if t.balance_on then begin

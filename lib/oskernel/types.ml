@@ -60,4 +60,10 @@ type core_state = {
   mutable busy_time : float;
 }
 
-let nice_weight nice = 1024.0 /. (1.25 ** float_of_int nice)
+(* CFS load weight of a nice level.  [charge] divides by it on every
+   accounting step, so nice -20..19 read a table built from the same
+   expression (same bits) instead of calling [pow] each time. *)
+let nice_weight =
+  let weight nice = 1024.0 /. (1.25 ** float_of_int nice) in
+  let table = Array.init 40 (fun i -> weight (i - 20)) in
+  fun nice -> if nice >= -20 && nice <= 19 then table.(nice + 20) else weight nice

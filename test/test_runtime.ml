@@ -534,6 +534,45 @@ let test_idle_poll_bits () =
   check_bits "insitu Sched_ws" (insitu false) (4598656220018598458L, 4594731743189324175L);
   check_bits "insitu Sched_priority" (insitu true) (4598840508473418923L, 4595799209265161415L)
 
+(* Exact work: one small seeded simulation under each main-queue
+   scheduler, with a chained per-process timer preempting Signal_yield
+   threads and workers idle-polling once the queues drain.  The engine's
+   event count and the final clock's bits are pinned; a change that
+   alters either (event heap, kernel accounting, scheduler) moves them
+   and must state the new values. *)
+let exact_work_run scheduler =
+  let config = preemptive_config Config.Per_process_chain 1e-3 in
+  let eng = Engine.create ~seed:7 () in
+  let kernel = Kernel.create eng (Machine.with_cores Machine.skylake 4) in
+  let rt = Runtime.create ~config ~scheduler kernel ~n_workers:4 in
+  let rng = Rng.split (Engine.rng eng) in
+  for i = 0 to 11 do
+    let d = Rng.range rng 0.2e-3 3e-3 in
+    ignore
+      (Runtime.spawn rt ~kind:Types.Signal_yield ~priority:(i mod 2) ~home:(i mod 4)
+         ~name:(Printf.sprintf "u%d" i) (fun () -> Ult.compute d))
+  done;
+  Runtime.start rt;
+  Engine.run eng;
+  let idle = ref 0.0 in
+  for r = 0 to Runtime.n_workers rt - 1 do
+    idle := !idle +. Runtime.worker_idle_time rt r
+  done;
+  if !idle <= 0.0 then Alcotest.fail "no idle polls";
+  if Runtime.preempt_signals rt = 0 then Alcotest.fail "no preemption";
+  (Engine.events_processed eng, Int64.bits_of_float (Engine.now eng))
+
+let test_exact_work () =
+  List.iter
+    (fun (name, scheduler, (events, clock_bits)) ->
+      let events', clock_bits' = exact_work_run scheduler in
+      Alcotest.(check int) (name ^ " events") events events';
+      Alcotest.(check int64) (name ^ " final clock bits") clock_bits clock_bits')
+    [
+      ("ws", Sched_ws.make (), (430, 4575765307799480828L));
+      ("priority", Sched_priority.make (), (1188, 4575765307799480828L));
+    ]
+
 let suite =
   [
     Alcotest.test_case "single ULT" `Quick test_single_ult;
@@ -564,4 +603,5 @@ let suite =
     Alcotest.test_case "stop idempotent" `Quick test_stop_is_idempotent;
     Alcotest.test_case "idle poll costs one event" `Quick test_idle_poll_one_event;
     Alcotest.test_case "idle poll keeps exact bits" `Quick test_idle_poll_bits;
+    Alcotest.test_case "exact work under ws and priority" `Quick test_exact_work;
   ]
