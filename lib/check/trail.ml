@@ -48,5 +48,3 @@ let to_string ?(max_forced = 24) t =
   if !shown > max_forced then
     Buffer.add_string b (Printf.sprintf ", ... (%d more)" (!shown - max_forced));
   Buffer.contents b
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -23,5 +23,3 @@ val signature : t -> string
 
 (** One-line human-readable summary listing the forced decisions. *)
 val to_string : ?max_forced:int -> t -> string
-
-val pp : Format.formatter -> t -> unit

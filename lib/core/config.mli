@@ -2,8 +2,8 @@
     in the paper (see DESIGN.md §4 for the experiment that sweeps it).
 
     Build configurations with {!make} (validating smart constructor) or
-    by record update on {!default}; both {!Runtime.create} and
-    {!Abt.init} run {!validate} on whatever they are given. *)
+    by record update on {!default}; {!Runtime.create} runs {!validate}
+    on whatever it is given. *)
 
 type timer_strategy =
   | No_timer  (** preemption disabled (pure nonpreemptive runtime) *)

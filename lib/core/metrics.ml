@@ -124,11 +124,6 @@ module Hist = struct
       invalid_arg "Metrics.Hist.merge: bucket shape mismatch";
     let counts = Array.init (Array.length a.counts) (fun i -> a.counts.(i) + b.counts.(i)) in
     { counts; n = a.n + b.n; total = a.total +. b.total }
-
-  let clear t =
-    Array.fill t.counts 0 n_buckets 0;
-    t.n <- 0;
-    t.total <- 0.0
 end
 
 type wcounters = {
@@ -180,14 +175,6 @@ let create ~n_workers =
 let enabled t = t.on
 
 let set_enabled t b = t.on <- b
-
-let reset t =
-  Array.iteri (fun i _ -> t.workers.(i) <- zero_wcounters ()) t.workers;
-  t.sync_blocks <- 0;
-  t.sync_wakeups <- 0;
-  Hist.clear t.sig_to_switch;
-  Hist.clear t.sched_delay;
-  Hist.clear t.run_quantum
 
 let observe_sig_to_switch t v = if t.on then Hist.add t.sig_to_switch v
 

@@ -76,11 +76,6 @@ module Hist : sig
       conditions as {!percentile}. *)
   val quantile : t -> float -> float
 
-  val copy : t -> t
-
-  (** Zero every bucket, the count and the sum (shape is untouched). *)
-  val clear : t -> unit
-
   (** [merge a b] — a fresh histogram whose every bucket holds
       [bucket_count a i + bucket_count b i], with summed [count] and
       [sum].  Neither input is modified.  Because the bucket table is
@@ -134,9 +129,6 @@ val create : n_workers:int -> t
 val enabled : t -> bool
 
 val set_enabled : t -> bool -> unit
-
-(** Zero all counters and histograms (the enabled flag is unchanged). *)
-val reset : t -> unit
 
 (** {1 Guarded hooks}
 

@@ -189,10 +189,6 @@ let total_overwritten t =
   done;
   !acc
 
-let clear t =
-  Array.iter (fun r -> r.r_count <- 0) t.rings;
-  ()
-
 let emit t ring ts code a b =
   if t.on then begin
     let r = t.rings.(ring) in
@@ -246,10 +242,6 @@ let events t =
   let all = Array.concat (List.init (n_rings t) (fun i -> ring_events t i)) in
   Array.sort order all;
   all
-
-let event_to_string e =
-  Printf.sprintf "%.9f ring%d #%d %-12s a=%d b=%d" e.e_ts e.e_ring e.e_seq
-    (code_name e.e_code) e.e_a e.e_b
 
 (* ------------------------------------------------------------------ *)
 (* Binary dump format — the crash-dump artifact [lib/check] writes next

@@ -198,8 +198,6 @@ val overwritten : t -> int -> int
 val total_overwritten : t -> int
 (** Sum of {!overwritten} over all rings. *)
 
-val clear : t -> unit
-
 val emit : t -> int -> float -> int -> int -> int -> unit
 (** [emit t ring ts code a b].  No-op when disabled.  Hot paths should
     guard on [t.on] themselves and call this only when enabled. *)
@@ -220,8 +218,6 @@ val ring_events : t -> int -> event array
 
 val events : t -> event array
 (** All retained events merged, ordered by [(ts, ring, seq)]. *)
-
-val event_to_string : event -> string
 
 (** {1 Binary dump}
 

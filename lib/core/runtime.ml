@@ -32,10 +32,6 @@ let klts_created rt = rt.klts_created
 
 let worker_idle_time rt r = rt.workers.(r).idle_time
 
-let worker_preempts rt r = rt.workers.(r).preempts_taken
-
-let global_pool_size rt = Queue.length rt.global_klts
-
 let now rt = Kernel.now rt.kernel
 
 let costs rt = Kernel.costs rt.kernel
@@ -274,7 +270,6 @@ let rec do_compute rt (u : ult) k d =
               w.preempt_request)
         in
         let progressed = Float.max 0.0 (remaining -. left) in
-        u.ult_cpu <- u.ult_cpu +. progressed;
         u.ult_cpu_since_move <- u.ult_cpu_since_move +. progressed;
         if left <= 0.0 then Effect.Deep.continue k ()
         else begin
@@ -745,7 +740,6 @@ let spawn rt ?(kind = Nonpreemptive) ?(priority = 0) ?(footprint = 1.0) ?home ?n
       resume_worker = None;
       join_waiters = [];
       preemptions = 0;
-      ult_cpu = 0.0;
       ult_cpu_since_move = 0.0;
       ready_at = Float.nan;
       run_started = 0.0;

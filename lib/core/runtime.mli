@@ -102,13 +102,6 @@ val klts_created : t -> int
 (** Seconds worker [rank] spent spinning without work. *)
 val worker_idle_time : t -> int -> float
 
-(** Preemptions taken by worker [rank]. *)
-val worker_preempts : t -> int -> int
-
-(** Size of the global KLT pool (parked KLTs, excluding worker-local
-    pools). *)
-val global_pool_size : t -> int
-
 (** Multi-line human-readable summary: per-worker preemptions and idle
     time, KLT-switch counts, pool sizes, timer statistics — plus the
     {!Metrics} summary when metrics are enabled. *)
@@ -125,8 +118,8 @@ val metrics : t -> Metrics.snapshot
 val metrics_enabled : t -> bool
 
 (** Toggle metric recording at any point (counters keep accumulating
-    across toggles; use {!Metrics.reset} semantics by taking snapshots
-    and differencing instead). *)
+    across toggles; take snapshots and difference them to measure an
+    interval). *)
 val set_metrics_enabled : t -> bool -> unit
 
 (** {1 Flight recorder (see [docs/observability.md])} *)

@@ -36,7 +36,6 @@ type ult = {
   mutable resume_worker : worker option;
   mutable join_waiters : (unit -> unit) list;
   mutable preemptions : int;
-  mutable ult_cpu : float;  (* CPU consumed by this thread's computes *)
   mutable ult_cpu_since_move : float;  (* cache hotness on the current worker *)
   mutable ready_at : float;
       (* when the thread last became ready (Metrics sched-delay

@@ -129,13 +129,6 @@ module Ttas = struct
     in
     acquire 1e-6
 
-  let try_lock t =
-    if t.busy then false
-    else begin
-      t.busy <- true;
-      true
-    end
-
   let unlock t =
     if not t.busy then invalid_arg "Ulock.Ttas.unlock: not locked";
     t.busy <- false

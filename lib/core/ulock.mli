@@ -46,8 +46,6 @@ module Ttas : sig
 
   val lock : t -> unit
 
-  val try_lock : t -> bool
-
   val unlock : t -> unit
 end
 

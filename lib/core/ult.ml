@@ -20,28 +20,15 @@ let self () = Effect.perform Self
 
 let suspend register = Effect.perform (Suspend register)
 
-let id (u : t) = u.Types.uid
-
 let name (u : t) = u.Types.uname
 
 let kind (u : t) = u.Types.kind
 
 let priority (u : t) = u.Types.priority
 
-let set_priority (u : t) p = u.Types.priority <- p
-
 let finished (u : t) = u.Types.ustate = Types.U_finished
 
 let blocked (u : t) = u.Types.ustate = Types.U_blocked
 
-let state_name (u : t) =
-  match u.Types.ustate with
-  | Types.U_ready -> "ready"
-  | Types.U_running -> "running"
-  | Types.U_bound -> "bound"
-  | Types.U_blocked -> "blocked"
-  | Types.U_finished -> "finished"
-
 let preemptions (u : t) = u.Types.preemptions
 
-let cpu (u : t) = u.Types.ult_cpu

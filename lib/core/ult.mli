@@ -33,15 +33,11 @@ val self : unit -> t
     user-level synchronization ({!Usync}). *)
 val suspend : (Types.ult -> unit) -> unit
 
-val id : t -> int
-
 val name : t -> string
 
 val kind : t -> Types.thread_kind
 
 val priority : t -> int
-
-val set_priority : t -> int -> unit
 
 val finished : t -> bool
 
@@ -49,15 +45,8 @@ val finished : t -> bool
     (the state a deadlock oracle watches for). *)
 val blocked : t -> bool
 
-(** Human-readable state ("ready", "running", "bound", "blocked",
-    "finished") — for violation reports and tests. *)
-val state_name : t -> string
-
 (** Number of times this thread has been preempted. *)
 val preemptions : t -> int
-
-(** CPU seconds consumed by this thread's [compute] calls. *)
-val cpu : t -> float
 
 (** {1 Effects (interpreted by the runtime's worker loop)} *)
 

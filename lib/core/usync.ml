@@ -88,8 +88,6 @@ module Barrier = struct
           Metrics.incr_sync_blocks b.rt.metrics;
           obs b.rt Recorder.ev_sync_block self;
           b.blocked <- self :: b.blocked)
-
-  let waiting b = List.length b.blocked
 end
 
 module Ivar = struct

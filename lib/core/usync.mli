@@ -32,9 +32,6 @@ module Barrier : sig
 
   (** Blocks until [n] threads arrive; reusable across phases. *)
   val wait : t -> unit
-
-  (** Number of threads currently waiting. *)
-  val waiting : t -> int
 end
 
 module Ivar : sig

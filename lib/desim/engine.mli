@@ -51,7 +51,7 @@ val observer : t -> (float -> int -> int -> int -> unit) option
 (** [after t dt f] schedules callback [f] to run [dt >= 0] seconds from
     now.  Callbacks run outside any process context.  [footprint]
     (default [""]) labels which shared state the callback touches, for
-    partial-order reduction — see {!event_footprint}. *)
+    partial-order reduction — see {!event_parent}. *)
 val after : ?footprint:string -> t -> float -> (unit -> unit) -> event
 
 (** [at t time f] schedules [f] at absolute [time >= now]. *)
@@ -114,12 +114,9 @@ val due_now : t -> bool
     (the id of the event being dispatched when the push happened, [-1]
     for pushes from outside the dispatch loop).  Event ids are heap
     insertion sequence numbers: stable, unique per run, and the same
-    ids the controller sees in [alts] and [fired].  Without a
-    controller nothing is recorded and both accessors return the
-    don't-know value. *)
-
-(** Footprint of event [seq]; [""] if unlabeled or unknown. *)
-val event_footprint : t -> int -> string
+    ids the controller sees, with their footprints, in [alts] and
+    [fired].  Without a controller nothing is recorded and
+    {!event_parent} returns [-1]. *)
 
 (** Parent (creating event) of event [seq]; [-1] if unknown. *)
 val event_parent : t -> int -> int

@@ -25,9 +25,6 @@ val percentile : t -> float -> float
 
 val median : t -> float
 
-(** All recorded samples in insertion order. *)
-val samples : t -> float array
-
 (** [histogram t ~bins] returns [(lo, hi, count)] rows covering the data
     range with [bins] equal-width buckets. *)
 val histogram : t -> bins:int -> (float * float * int) array

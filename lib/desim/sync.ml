@@ -103,6 +103,4 @@ module Semaphore = struct
     if t.count > 0 then t.count <- t.count - 1 else Waitq.wait t.queue
 
   let release t = if not (Waitq.wake_one t.queue ()) then t.count <- t.count + 1
-
-  let available t = t.count
 end

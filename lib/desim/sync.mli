@@ -54,8 +54,6 @@ module Waitq : sig
   (** [wake_all q v] wakes every queued waiter; returns how many. *)
   val wake_all : 'a t -> 'a -> int
 
-  val length : 'a t -> int
-
   (** [cancellable_wait q] is [wait] that can also be aborted: it
       returns a [cancel] function usable from event context before the
       process is woken; the wait result is [None] if cancelled. *)
@@ -70,6 +68,4 @@ module Semaphore : sig
   val acquire : t -> unit
 
   val release : t -> unit
-
-  val available : t -> int
 end

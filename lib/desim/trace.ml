@@ -11,8 +11,6 @@ let create ?(capacity = 100_000) () = { records = []; count = 0; capacity; on = 
 
 let enable t = t.on <- true
 
-let disable t = t.on <- false
-
 let enabled t = t.on
 
 let emit t time tag detail =
@@ -30,8 +28,3 @@ let clear t =
   t.count <- 0
 
 let length t = t.count
-
-let pp ppf t =
-  List.iter
-    (fun r -> Format.fprintf ppf "%.9f %-20s %s@." r.time r.tag r.detail)
-    (records t)

@@ -13,8 +13,6 @@ val create : ?capacity:int -> unit -> t
     trace is free. *)
 val enable : t -> unit
 
-val disable : t -> unit
-
 val enabled : t -> bool
 
 val emit : t -> float -> string -> string -> unit
@@ -28,5 +26,3 @@ val with_tag : t -> string -> record list
 val clear : t -> unit
 
 val length : t -> int
-
-val pp : Format.formatter -> t -> unit

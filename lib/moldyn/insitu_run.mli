@@ -48,10 +48,3 @@ val run_pthreads_fifo :
   analysis_interval:int option ->
   unit ->
   result
-
-(** Cost-model knobs (documented in EXPERIMENTS.md). *)
-val force_cost_per_atom : float
-
-val comm_base : float
-
-val analysis_cost_per_atom : float

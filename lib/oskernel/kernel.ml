@@ -13,7 +13,6 @@ type t = {
   handlers : (int, t -> klt -> unit) Hashtbl.t;
   mutable next_kid : int;
   tr : Trace.t;
-  mutable balance_on : bool;
   mutable balance_running : bool;
   mutable delivered : int;
 }
@@ -44,26 +43,18 @@ let running_core k = k.core
 
 let cpu_time k = k.cpu_time
 
-let migrations k = k.migrations
-
 let nice k = k.nice
 
 let live_klts t = List.filter (fun k -> k.state <> Zombie) t.all_klts
 
 let signals_delivered t = t.delivered
 
-let set_load_balancing t b = t.balance_on <- b
-
 let total_busy_time t = Array.fold_left (fun acc c -> acc +. c.busy_time) 0.0 t.cores
-
-let core_busy_time t i = t.cores.(i).busy_time
 
 let utilization t =
   let elapsed = now t in
   if elapsed <= 0.0 then 0.0
   else total_busy_time t /. (elapsed *. float_of_int (Array.length t.cores))
-
-let total_migrations t = List.fold_left (fun acc k -> acc + k.migrations) 0 t.all_klts
 
 let emit t tag detail = Trace.emit t.tr (now t) tag detail
 
@@ -226,7 +217,6 @@ and dispatch t core =
           klt.core <- Some core.cid;
           core.min_vruntime <- Float.max core.min_vruntime klt.vruntime;
           if klt.last_core <> core.cid then begin
-            klt.migrations <- klt.migrations + 1;
             (* Cache-refill cost scales with how hot the thread was on
                its previous core (fully hot after ~1 ms of CPU). *)
             let hotness = Float.min 1.0 (klt.cpu_since_move /. 1e-3) in
@@ -599,8 +589,6 @@ let add_overhead _t klt d =
   if d < 0.0 then invalid_arg "Kernel.add_overhead: negative";
   klt.pending_overhead <- klt.pending_overhead +. d
 
-let has_pending_signal klt = deliverable klt <> None
-
 (* ------------------------------------------------------------------ *)
 (* Blocking. *)
 
@@ -716,40 +704,38 @@ let rec balance_tick t =
     t.balance_running <- false
   else
     Engine.post_after t.eng t.c.balance_interval (fun () ->
-         if t.balance_on then begin
-           let busiest = ref t.cores.(0) and idlest = ref t.cores.(0) in
-           Array.iter
-             (fun c ->
-               if core_load c > core_load !busiest then busiest := c;
-               if core_load c < core_load !idlest then idlest := c)
-             t.cores;
-           (* Move queued tasks from the busiest to the idlest core until
-              the imbalance halves (Linux moves up to the imbalance). *)
-           let moves =
-             ref ((core_load !busiest - core_load !idlest) / 2)
-           in
-           while
-             !moves > 0
-             && core_load !busiest >= core_load !idlest + 2
-             &&
-             match
-               List.find_opt
-                 (fun k -> Cpuset.mem k.affinity !idlest.cid)
-                 (List.rev !busiest.queued)
-             with
-             | Some k ->
-                 queue_remove !busiest k;
-                 queue_insert !idlest k;
-                 if tracing t then
-                   emit t "balance"
-                     (Printf.sprintf "%s core%d -> core%d" k.kname !busiest.cid !idlest.cid);
-                 if !idlest.current = None then dispatch t !idlest;
-                 true
-             | None -> false
-           do
-             decr moves
-           done
-         end;
+         let busiest = ref t.cores.(0) and idlest = ref t.cores.(0) in
+         Array.iter
+           (fun c ->
+             if core_load c > core_load !busiest then busiest := c;
+             if core_load c < core_load !idlest then idlest := c)
+           t.cores;
+         (* Move queued tasks from the busiest to the idlest core until
+            the imbalance halves (Linux moves up to the imbalance). *)
+         let moves =
+           ref ((core_load !busiest - core_load !idlest) / 2)
+         in
+         while
+           !moves > 0
+           && core_load !busiest >= core_load !idlest + 2
+           &&
+           match
+             List.find_opt
+               (fun k -> Cpuset.mem k.affinity !idlest.cid)
+               (List.rev !busiest.queued)
+           with
+           | Some k ->
+               queue_remove !busiest k;
+               queue_insert !idlest k;
+               if tracing t then
+                 emit t "balance"
+                   (Printf.sprintf "%s core%d -> core%d" k.kname !busiest.cid !idlest.cid);
+               if !idlest.current = None then dispatch t !idlest;
+               true
+           | None -> false
+         do
+           decr moves
+         done;
          balance_tick t)
 
 (* ------------------------------------------------------------------ *)
@@ -796,7 +782,6 @@ let spawn t ?(nice = 0) ?affinity ?creator ~name body =
       exit_waiters = [];
       cpu_time = 0.0;
       exec_start = 0.0;
-      migrations = 0;
       pending_overhead = 0.0;
       wakeups = 0;
     }
@@ -815,8 +800,6 @@ let spawn t ?(nice = 0) ?affinity ?creator ~name body =
       body klt;
       exit_klt t klt);
   klt
-
-let set_nice _t klt n = klt.nice <- n
 
 let set_footprint _t klt f =
   if f < 0.0 || f > 1.0 then invalid_arg "Kernel.set_footprint: out of [0,1]";
@@ -1002,7 +985,6 @@ let create ?trace eng machine =
       handlers = Hashtbl.create 16;
       next_kid = 0;
       tr;
-      balance_on = true;
       balance_running = false;
       delivered = 0;
     }

@@ -52,11 +52,7 @@ val running_core : klt -> int option
 
 val cpu_time : klt -> float
 
-val migrations : klt -> int
-
 val nice : klt -> int
-
-val set_nice : t -> klt -> int -> unit
 
 (** [set_footprint t klt f] — relative cache working set in [0,1]
     scaling this KLT's migration penalty.  Default 1.  An M:N runtime
@@ -133,9 +129,6 @@ val consume : t -> klt -> float -> unit
     is re-attached). Callable from any context. *)
 val add_overhead : t -> klt -> float -> unit
 
-(** True if [klt] has a pending deliverable (unmasked) signal. *)
-val has_pending_signal : klt -> bool
-
 (** Blocks without consuming CPU (nanosleep-like; uninterruptible). *)
 val sleep : t -> klt -> float -> unit
 
@@ -176,8 +169,6 @@ val pthread_kill : t -> sender:klt -> klt -> int -> unit
 val sigblock : t -> klt -> int -> unit
 
 val sigunblock : t -> klt -> int -> unit
-
-val signal_blocked : klt -> int -> bool
 
 (** [pause t klt] blocks until a signal is delivered and its handler has
     run (sigsuspend-like). *)
@@ -273,10 +264,3 @@ val total_busy_time : t -> float
 
 (** [busy/(cores*now)]; 0 at time 0. *)
 val utilization : t -> float
-
-val core_busy_time : t -> int -> float
-
-val total_migrations : t -> int
-
-(** Enable/disable the periodic CFS load balancer (on by default). *)
-val set_load_balancing : t -> bool -> unit

@@ -35,7 +35,6 @@ type klt = {
   mutable exit_waiters : (unit -> unit) list;
   mutable cpu_time : float;
   mutable exec_start : float;
-  mutable migrations : int;
   mutable cpu_since_move : float;
       (* CPU accumulated since the last core migration: proxies how much
          cache state the thread would lose by moving *)

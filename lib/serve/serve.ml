@@ -203,6 +203,7 @@ let class_report ~cls ~offered lat =
 (* ------------------------------------------------------------------ *)
 (* The run itself. *)
 
+(* Stable class id, the [b] payload of [ev_req_arrival]. *)
 let cls_id = function Short -> 0 | Long -> 1
 
 type requests = { rq_schedule : (float * cls) array; rq_sojourn : float array }

@@ -112,10 +112,6 @@ val run :
 
 val cls_name : cls -> string
 
-(** Stable class id: [Short] = 0, [Long] = 1 — the [b] payload of
-    [Recorder.ev_req_arrival]. *)
-val cls_id : cls -> int
-
 val print_text : report -> unit
 
 (** One-line JSON object (p50/p99/p99.9 per class, quantum range,

@@ -59,11 +59,8 @@ let test_ult_accessors () =
   let u = Runtime.spawn rt ~kind:Types.Signal_yield ~priority:2 ~name:"acc" (fun () -> ()) in
   Alcotest.(check string) "name" "acc" (Ult.name u);
   Alcotest.(check int) "priority" 2 (Ult.priority u);
-  Ult.set_priority u 5;
-  Alcotest.(check int) "set_priority" 5 (Ult.priority u);
   Alcotest.(check bool) "kind" true (Ult.kind u = Types.Signal_yield);
   Alcotest.(check bool) "not finished yet" false (Ult.finished u);
-  Alcotest.(check (float 0.0)) "no cpu yet" 0.0 (Ult.cpu u);
   Runtime.start rt;
   Engine.run eng;
   Alcotest.(check bool) "finished" true (Ult.finished u)
@@ -294,23 +291,6 @@ let test_fiber_config_defaults () =
   | sts -> Alcotest.fail (Printf.sprintf "%d stats rows, expected 1" (List.length sts)));
   Fiber.shutdown pool
 
-(* Abt.init no longer hard-codes per-worker-aligned timers. *)
-let test_abt_init_strategies () =
-  let eng = Engine.create () in
-  let kernel = Kernel.create eng (Machine.with_cores Machine.skylake 2) in
-  let rt =
-    Abt.init ~preemption:1e-3 ~timer_strategy:Config.Per_process_chain
-      ~suspend_mode:Config.Sigsuspend kernel ~num_xstreams:2 ()
-  in
-  Alcotest.(check (float 0.0)) "interval" 1e-3 (Runtime.preemption_interval rt);
-  let t = Abt.thread_create rt ~kind:Abt.Preemptive_signal_yield (fun () -> Abt.work 3e-3) in
-  ignore t;
-  Engine.run eng;
-  Alcotest.(check bool) "chain strategy preempts" true (Runtime.preempt_signals rt > 0);
-  Alcotest.check_raises "invalid via Config.make"
-    (Invalid_argument "Config: interval = nan (must be positive)") (fun () ->
-      ignore (Abt.init ~preemption:Float.nan kernel ~num_xstreams:1 ()))
-
 let suite =
   [
     Alcotest.test_case "pp machine/cpuset" `Quick test_pp_machine_cpuset;
@@ -328,7 +308,6 @@ let suite =
     Alcotest.test_case "Config.make defaults" `Quick test_config_make_defaults;
     Alcotest.test_case "metrics naming unified" `Quick test_config_metrics_alias;
     Alcotest.test_case "Runtime.create validates config" `Quick test_runtime_create_validates_config;
-    Alcotest.test_case "Abt.init strategy/suspend knobs" `Quick test_abt_init_strategies;
     Alcotest.test_case "Fiber.Config validation shape" `Quick
       test_fiber_config_validation;
     Alcotest.test_case "Fiber.Config quantum knobs" `Quick

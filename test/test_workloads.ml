@@ -150,3 +150,34 @@ let suite =
     Alcotest.test_case "insitu: priority helps at interval 2" `Slow test_insitu_priority_helps;
     Alcotest.test_case "insitu: pthreads runs" `Quick test_insitu_pthreads_runs;
   ]
+
+(* Fig. 8's FMG phase profile.  Kept under the "multigrid" group its
+   cases have always been reported in. *)
+let test_profile_total_and_structure () =
+  let ps = Multigrid.Fmg_profile.phases ~levels:7 ~total_core_seconds:25.0 in
+  Alcotest.(check (float 1e-6)) "total scaled" 25.0 (Multigrid.Fmg_profile.total_work ps);
+  Alcotest.(check bool) "many phases" true (Multigrid.Fmg_profile.count ps > 50);
+  (* Finest-level phases dominate the work. *)
+  let finest_work =
+    List.fold_left
+      (fun acc (p : Multigrid.Fmg_profile.phase) -> if p.level = 0 then acc +. p.work else acc)
+      0.0 ps
+  in
+  if finest_work < 0.7 *. 25.0 then Alcotest.failf "finest work only %g" finest_work;
+  List.iter
+    (fun (p : Multigrid.Fmg_profile.phase) ->
+      if p.work <= 0.0 then Alcotest.fail "non-positive phase work")
+    ps
+
+let test_profile_levels_span_orders () =
+  let ps = Multigrid.Fmg_profile.phases ~levels:7 ~total_core_seconds:25.0 in
+  let works = List.map (fun (p : Multigrid.Fmg_profile.phase) -> p.work) ps in
+  let lo = List.fold_left Float.min infinity works in
+  let hi = List.fold_left Float.max 0.0 works in
+  if hi /. lo < 1000.0 then Alcotest.failf "phase sizes too uniform: %g..%g" lo hi
+
+let fmg_profile_suite =
+  [
+    Alcotest.test_case "phase profile total/structure" `Quick test_profile_total_and_structure;
+    Alcotest.test_case "phase sizes span orders" `Quick test_profile_levels_span_orders;
+  ]
