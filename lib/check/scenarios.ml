@@ -292,10 +292,10 @@ let dpor_writers_prog env =
       (Printf.sprintf "writer%d" p)
       (fun () ->
         privates.(p) <- privates.(p) + 1;
-        Engine.delay 0.0;
+        Engine.delay eng 0.0;
         privates.(p) <- privates.(p) + 1;
         if p < 2 then Engine.set_footprint "shared";
-        Engine.delay 0.0;
+        Engine.delay eng 0.0;
         if p < 2 then shared := !shared + 1 else privates.(p) <- privates.(p) + 1)
   done;
   Runner.program
@@ -349,7 +349,7 @@ let pool_overflow_prog ?(unfenced = false) env =
   in
   Engine.spawn eng ~footprint:"pool.q" "compute0" (fun () ->
       for i = 0 to n_tasks - 1 do
-        if fault "pool.stall" then Engine.delay 2e-4;
+        if fault "pool.stall" then Engine.delay eng 2e-4;
         if not claimed.(i) then begin
           (* Owner's claim is one engine step: atomic by construction. *)
           claimed.(i) <- true;
@@ -361,8 +361,8 @@ let pool_overflow_prog ?(unfenced = false) env =
            oracle honest.  A pick, not a fault: the unfenced variant
            runs without fault injection and still needs refills. *)
         if pick ~n:2 "pool.refill" = 1 then own.(i mod 2) <- own.(i mod 2) + 1;
-        if fault "pool.preempt" then Engine.delay 0.0;
-        Engine.delay 1e-4
+        if fault "pool.preempt" then Engine.delay eng 0.0;
+        Engine.delay eng 1e-4
       done);
   let oldest_unclaimed () =
     let r = ref (-1) in
@@ -384,7 +384,7 @@ let pool_overflow_prog ?(unfenced = false) env =
             | -1 -> ()
             | _ when pick ~n:2 "pool.victim" = 1 -> () (* defer the steal *)
             | i ->
-                if unfenced then Engine.delay 0.0;
+                if unfenced then Engine.delay eng 0.0;
                 (* ^ buggy variant: victim chosen, claim not yet marked *)
                 (* Re-read at the commit point.  The fenced thief's
                    emptiness test, victim pick and claim are one engine
@@ -397,7 +397,7 @@ let pool_overflow_prog ?(unfenced = false) env =
                 claimed.(i) <- true;
                 exec.(i) <- exec.(i) + 1
           end;
-          Engine.delay 1e-4
+          Engine.delay eng 1e-4
         done)
   done;
   Runner.program
@@ -459,8 +459,8 @@ let steal_batch_prog ?(published = false) env =
           bottom := !bottom - 1;
           run_task slots.(!bottom mod cap)
         end;
-        if fault "deque.stall" then Engine.delay 2e-4;
-        Engine.delay 1e-4
+        if fault "deque.stall" then Engine.delay eng 2e-4;
+        Engine.delay eng 1e-4
       done;
       while !bottom > !top do
         bottom := !bottom - 1;
@@ -475,7 +475,7 @@ let steal_batch_prog ?(published = false) env =
             let t0 = !top in
             top := t0 + k (* whole range claimed before any copy-out *);
             for j = 0 to k - 1 do
-              Engine.delay 1e-4 (* publish-to-copy window *);
+              Engine.delay eng 1e-4 (* publish-to-copy window *);
               run_task slots.((t0 + j) mod cap)
             done
           end
@@ -487,13 +487,13 @@ let steal_batch_prog ?(published = false) env =
                 let i = slots.(!top mod cap) in
                 top := !top + 1;
                 run_task i;
-                Engine.delay 1e-4;
+                Engine.delay eng 1e-4;
                 claim (j + 1)
               end
             in
             claim 0
         end;
-        Engine.delay 1e-4
+        Engine.delay eng 1e-4
       done);
   Runner.program
     ~oracle:(fun () ->
@@ -624,17 +624,17 @@ let telemetry_racy_prog env =
   Engine.spawn eng ~footprint:"tel.counters" "worker" (fun () ->
       for _task = 1 to 4 do
         incr spawned;
-        Engine.delay 1e-4;
+        Engine.delay eng 1e-4;
         incr completed;
-        Engine.delay 1e-4
+        Engine.delay eng 1e-4
       done);
   Engine.spawn eng ~footprint:"tel.counters" "sampler" (fun () ->
       for _sweep = 1 to 4 do
         let s = !spawned in
-        Engine.delay 1e-4 (* torn read: the window the clamp closes *);
+        Engine.delay eng 1e-4 (* torn read: the window the clamp closes *);
         let pending = s - !completed in
         if pending < !min_pending then min_pending := pending;
-        Engine.delay 1e-4
+        Engine.delay eng 1e-4
       done);
   Runner.program
     ~oracle:(fun () ->

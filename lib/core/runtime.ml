@@ -30,7 +30,7 @@ let klt_switches rt = rt.klt_switches
 
 let klts_created rt = rt.klts_created
 
-let worker_idle_time rt r = rt.workers.(r).idle_time
+let worker_idle_time rt r = rt.idle_time.(r)
 
 let now rt = Kernel.now rt.kernel
 
@@ -397,6 +397,10 @@ let initiate_stop rt =
 
 let stop = initiate_stop
 
+(* Start of the idle poll in flight; all-float, so stored flat and
+   updated without allocating (a [float ref] would box each store). *)
+type idle_mark = { mutable t0 : float }
+
 let rec sched_loop rt klt =
   if not rt.stopping then
     match worker_of rt klt with
@@ -454,11 +458,11 @@ and suspend_worker rt (w : worker) klt =
    completion event — as many further steps of [sched_loop] as find no
    work: the idle-time add, [sched_loop]'s checks and [rt.sched.next].
    [step] declines, before touching anything, wherever [sched_loop]
-   would do more than call [next]; [t0] moves to the start of each poll
-   it arms.  Returns the thread a stepped [next] found, for [sched_loop]
-   to run. *)
+   would do more than call [next]; [mark.t0] moves to the start of each
+   poll it arms.  Returns the thread a stepped [next] found, for
+   [sched_loop] to run. *)
 and idle_spin rt (w : worker) klt =
-  let t0 = ref (now rt) in
+  let mark = { t0 = now rt } in
   let found = ref None in
   let step () =
     if
@@ -468,10 +472,10 @@ and idle_spin rt (w : worker) klt =
       || match worker_of rt klt with Some w' -> w' != w | None -> true
     then Kernel.Spin_decline
     else begin
-      w.idle_time <- w.idle_time +. (now rt -. !t0);
+      rt.idle_time.(w.rank) <- rt.idle_time.(w.rank) +. (now rt -. mark.t0);
       match rt.sched.next rt w with
       | None ->
-          t0 := now rt;
+          mark.t0 <- now rt;
           Kernel.Spin_again
       | Some _ as u ->
           found := u;
@@ -482,7 +486,7 @@ and idle_spin rt (w : worker) klt =
   match !found with
   | Some _ as u -> u (* the step that found it added the idle time *)
   | None ->
-      w.idle_time <- w.idle_time +. (now rt -. !t0);
+      rt.idle_time.(w.rank) <- rt.idle_time.(w.rank) +. (now rt -. mark.t0);
       None
 
 and run_entry rt (w : worker) klt (u : ult) =
@@ -505,11 +509,11 @@ and run_entry rt (w : worker) klt (u : ult) =
       u.last_worker <- w.rank;
       if rt.recorder.Recorder.on then rec_w rt w Recorder.ev_run u.uid 0;
       if w.measure_preempt then begin
-        Stats.add rt.preempt_latency_stats (now rt -. w.preempt_post_time);
-        Metrics.observe_sig_to_switch rt.metrics (now rt -. w.preempt_post_time);
+        Stats.add rt.preempt_latency_stats (now rt -. rt.preempt_post_time.(w.rank));
+        Metrics.observe_sig_to_switch rt.metrics (now rt -. rt.preempt_post_time.(w.rank));
         if rt.recorder.Recorder.on then
           rec_w rt w Recorder.ev_preempt_done u.uid
-            (int_of_float ((now rt -. w.preempt_post_time) *. 1e9));
+            (int_of_float ((now rt -. rt.preempt_post_time.(w.rank)) *. 1e9));
         w.measure_preempt <- false
       end;
       if rt.metrics.Metrics.on then begin
@@ -540,11 +544,11 @@ and run_entry rt (w : worker) klt (u : ult) =
 and resume_bound rt (w : worker) klt (u : ult) =
   let bklt = Option.get u.bound_klt in
   if w.measure_preempt then begin
-    Stats.add rt.preempt_latency_stats (now rt -. w.preempt_post_time);
-    Metrics.observe_sig_to_switch rt.metrics (now rt -. w.preempt_post_time);
+    Stats.add rt.preempt_latency_stats (now rt -. rt.preempt_post_time.(w.rank));
+    Metrics.observe_sig_to_switch rt.metrics (now rt -. rt.preempt_post_time.(w.rank));
     if rt.recorder.Recorder.on then
       rec_w rt w Recorder.ev_preempt_done u.uid
-        (int_of_float ((now rt -. w.preempt_post_time) *. 1e9));
+        (int_of_float ((now rt -. rt.preempt_post_time.(w.rank)) *. 1e9));
     w.measure_preempt <- false
   end;
   detach_klt rt klt;
@@ -563,7 +567,7 @@ let maybe_request_preempt rt (w : worker) posted =
   match w.current with
   | Some u when u.kind <> Nonpreemptive && not w.preempt_request ->
       w.preempt_request <- true;
-      w.preempt_post_time <- posted;
+      rt.preempt_post_time.(w.rank) <- posted;
       w.measure_preempt <- true;
       rt.preempt_signals <- rt.preempt_signals + 1;
       if rt.recorder.Recorder.on then rec_w rt w Recorder.ev_preempt_req u.uid 0;
@@ -665,7 +669,6 @@ let create ?(config = Config.default) ?scheduler kernel ~n_workers =
           wklt = None;
           current = None;
           preempt_request = false;
-          preempt_post_time = 0.0;
           measure_preempt = false;
           active = true;
           wake_fut = None;
@@ -674,7 +677,6 @@ let create ?(config = Config.default) ?scheduler kernel ~n_workers =
           q_aux = Dq.create ();
           local_klts = Queue.create ();
           w_rng = Rng.split rng;
-          idle_time = 0.0;
           preempts_taken = 0;
         })
   in
@@ -696,6 +698,8 @@ let create ?(config = Config.default) ?scheduler kernel ~n_workers =
     started = false;
     cur_interval = config.Config.interval;
     timers = [];
+    idle_time = Array.make n_workers 0.0;
+    preempt_post_time = Array.make n_workers 0.0;
     signal_posted = Itab.Float.create 64;
     interrupt_stats = Stats.create ();
     preempt_latency_stats = Stats.create ();
@@ -851,7 +855,7 @@ let stats_summary rt =
     (fun w ->
       Buffer.add_string buf
         (Printf.sprintf "  worker%-3d preempts=%-6d idle=%.4fs local-pool=%d%s\n" w.rank
-           w.preempts_taken w.idle_time (Queue.length w.local_klts)
+           w.preempts_taken rt.idle_time.(w.rank) (Queue.length w.local_klts)
            (if w.active then "" else " (suspended)")))
     rt.workers;
   if Metrics.enabled rt.metrics then

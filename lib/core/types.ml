@@ -49,7 +49,6 @@ and worker = {
   mutable wklt : Kernel.klt option;
   mutable current : ult option;
   mutable preempt_request : bool;
-  mutable preempt_post_time : float;  (* when the preempting signal was posted *)
   mutable measure_preempt : bool;  (* pending Table-1 style latency sample *)
   mutable active : bool;  (* thread packing: inactive workers suspend *)
   mutable wake_fut : Kernel.Futex.t option;  (* set while suspended *)
@@ -58,7 +57,6 @@ and worker = {
   q_aux : ult Dq.t;  (* secondary pool (priority scheduler: analysis LIFO) *)
   local_klts : Kernel.klt Queue.t;  (* worker-local KLT pool *)
   w_rng : Desim.Rng.t;
-  mutable idle_time : float;  (* time spent spinning with no work *)
   mutable preempts_taken : int;
 }
 
@@ -93,6 +91,12 @@ and rt = {
   mutable started : bool;
   mutable cur_interval : float;  (* live preemption interval *)
   mutable timers : Kernel.Timer.t list;
+  (* Per-worker floats written on every idle poll or preemption, indexed
+     by rank: float arrays are stored flat, so a store boxes nothing
+     (see [Oskern.Types.klt_acct]), and each is one allocation per
+     runtime rather than one per worker. *)
+  idle_time : float array;  (* time spent spinning with no work *)
+  preempt_post_time : float array;  (* when the preempting signal was posted *)
   signal_posted : Itab.Float.t;  (* klt id -> post time; NaN = none *)
   interrupt_stats : Desim.Stats.t;  (* Fig. 4 metric *)
   preempt_latency_stats : Desim.Stats.t;  (* Table 1 metric *)

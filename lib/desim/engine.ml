@@ -24,6 +24,11 @@ type t = {
   mutable cur_seq : int;
       (* seq of the event currently being dispatched in controlled
          mode; -1 outside the dispatch loop or when uncontrolled *)
+  mutable in_proc : bool;
+      (* a process resumed by [run] is executing (not an event callback,
+         not an effect handler): the precondition of [delay]'s run-ahead *)
+  mutable until : float;  (* the running [run]'s [until]; [infinity] if none *)
+  mutable max_events : int;  (* the running [run]'s [max_events] *)
 }
 
 type event = Heap.handle
@@ -44,6 +49,9 @@ let create ?(seed = 42) () =
     observer = None;
     emeta = Hashtbl.create 64;
     cur_seq = -1;
+    in_proc = false;
+    until = infinity;
+    max_events = max_int;
   }
 
 let set_controller t c = t.controller <- c
@@ -124,7 +132,31 @@ type _ Effect.t +=
   | Self : (t * string) Effect.t
   | SetFp : string -> unit Effect.t
 
-let delay dt = Effect.perform (Delay dt)
+(* Run-ahead: when the resumption a [Delay] would post is the very next
+   event [run] dispatches, advance the clock and count the event here
+   instead — no effect, no push, no pop.  It is next when no controller
+   reorders ties, the wake time [now +. dt] (the float op [post_after]
+   does) sorts strictly before every queued key, and [run] would neither
+   stop at its [until] nor overflow [max_events] before dispatching it.
+   The skipped push takes no sequence number, so every later push's
+   sequence number shifts down by one, uniformly: every other pair of
+   events keeps its order.  Outside a process ([in_proc] false) the
+   effect is performed, so event context still raises
+   [Effect.Unhandled]. *)
+let delay t dt =
+  let time = t.clock +. dt in
+  if
+    t.in_proc
+    && (match t.controller with None -> true | Some _ -> false)
+    && dt >= 0.0
+    && time <= t.until
+    && t.processed < t.max_events
+    && (Heap.is_empty t.heap || time < Heap.min_key t.heap)
+  then begin
+    t.clock <- time;
+    t.processed <- t.processed + 1
+  end
+  else Effect.perform (Delay dt)
 
 let block register = Effect.perform (Block register)
 
@@ -150,12 +182,20 @@ let spawn ?(footprint = "") t name f =
     Hashtbl.remove t.live_names pid
   in
   let open Effect.Deep in
+  (* [in_proc] is set at every entry into the process and cleared at
+     every exit: suspension (the [Delay] and [Block] handlers) and
+     return. *)
   let body () =
+    t.in_proc <- true;
     match_with f ()
       {
-        retc = (fun () -> finish ());
+        retc =
+          (fun () ->
+            t.in_proc <- false;
+            finish ());
         exnc =
           (fun exn ->
+            t.in_proc <- false;
             finish ();
             raise exn);
         effc =
@@ -164,10 +204,14 @@ let spawn ?(footprint = "") t name f =
             | Delay dt ->
                 Some
                   (fun (k : (a, unit) continuation) ->
-                    post_after ~footprint:!fp t dt (fun () -> continue k ()))
+                    t.in_proc <- false;
+                    post_after ~footprint:!fp t dt (fun () ->
+                        t.in_proc <- true;
+                        continue k ()))
             | Block register ->
                 Some
                   (fun (k : (a, unit) continuation) ->
+                    t.in_proc <- false;
                     let fired = ref false in
                     let resume v =
                       if !fired then
@@ -177,7 +221,9 @@ let spawn ?(footprint = "") t name f =
                       fired := true;
                       (* Resumption goes through the heap so wakers never
                          run the woken process on their own stack. *)
-                      post_after ~footprint:!fp t 0.0 (fun () -> continue k v)
+                      post_after ~footprint:!fp t 0.0 (fun () ->
+                          t.in_proc <- true;
+                          continue k v)
                     in
                     register resume)
             | Self -> Some (fun (k : (a, unit) continuation) -> continue k (t, name))
@@ -238,6 +284,8 @@ let dispatch t heap time max_events =
 
 let run ?until ?(max_events = 50_000_000) t =
   let heap = t.heap in
+  t.until <- Option.value until ~default:infinity;
+  t.max_events <- max_events;
   (match until with
   | None ->
       while not (Heap.is_empty heap) do

@@ -123,8 +123,14 @@ val event_parent : t -> int -> int
 
 (** {1 Effects — to be performed from process context only} *)
 
-(** Suspend the current process for [dt] virtual seconds. *)
-val delay : float -> unit
+(** [delay t dt] suspends the current process, one of [t]'s, for [dt]
+    virtual seconds.  When the process's resumption would be the next
+    event dispatched anyway (no controller, wake time strictly before
+    every queued event and within [run]'s [until] and [max_events]), the
+    clock advances in place and the call returns without suspending;
+    the event count and the order of every other event are as if it had
+    suspended. *)
+val delay : t -> float -> unit
 
 (** [block register] suspends the current process; [register resume] is
     called immediately with a one-shot [resume] function that any event

@@ -8,6 +8,14 @@ type t = {
   machine : Machine.t;
   c : Machine.costs;
   cores : core_state array;
+  (* The per-core floats that accounting writes on every event, indexed
+     by core id.  A float array is stored flat, like [Types.klt_acct],
+     and one array per field costs a single allocation per kernel
+     rather than one per core. *)
+  slice_deadline : float array;
+  min_vruntime : float array;
+  last_newidle : float array;
+  busy_time : float array;
   mutable all_klts : klt list;
   signal_lock : Sync.Mutex.t;
   handlers : (int, t -> klt -> unit) Hashtbl.t;
@@ -41,7 +49,7 @@ let state_name k =
 
 let running_core k = k.core
 
-let cpu_time k = k.cpu_time
+let cpu_time k = k.kacct.cpu_time
 
 let nice k = k.nice
 
@@ -49,7 +57,7 @@ let live_klts t = List.filter (fun k -> k.state <> Zombie) t.all_klts
 
 let signals_delivered t = t.delivered
 
-let total_busy_time t = Array.fold_left (fun acc c -> acc +. c.busy_time) 0.0 t.cores
+let total_busy_time t = Array.fold_left ( +. ) 0.0 t.busy_time
 
 let utilization t =
   let elapsed = now t in
@@ -95,7 +103,7 @@ let queue_before a b =
   | Sched_fifo pa, Sched_fifo pb -> pa > pb
   | Sched_fifo _, Sched_other -> true
   | Sched_other, Sched_fifo _ -> false
-  | Sched_other, Sched_other -> a.vruntime < b.vruntime
+  | Sched_other, Sched_other -> a.kacct.vruntime < b.kacct.vruntime
 
 let queue_insert core klt =
   let rec ins = function
@@ -111,13 +119,16 @@ let core_load core = List.length core.queued + match core.current with Some _ ->
 (* ------------------------------------------------------------------ *)
 (* Accounting. *)
 
-let charge t klt elapsed =
+(* Inlined so that [elapsed], computed by the caller, reaches the flat
+   [kacct] and [busy_time] stores unboxed: as a call argument it would
+   be boxed first, two minor words per accounting step. *)
+let[@inline] charge t klt elapsed =
   if elapsed > 0.0 then begin
-    klt.cpu_time <- klt.cpu_time +. elapsed;
-    klt.cpu_since_move <- klt.cpu_since_move +. elapsed;
-    klt.vruntime <- klt.vruntime +. (elapsed *. 1024.0 /. nice_weight klt.nice);
+    klt.kacct.cpu_time <- klt.kacct.cpu_time +. elapsed;
+    klt.kacct.cpu_since_move <- klt.kacct.cpu_since_move +. elapsed;
+    klt.kacct.vruntime <- klt.kacct.vruntime +. (elapsed *. 1024.0 /. nice_weight klt.nice);
     match klt.core with
-    | Some c -> t.cores.(c).busy_time <- t.cores.(c).busy_time +. elapsed
+    | Some c -> t.busy_time.(c) <- t.busy_time.(c) +. elapsed
     | None -> ()
   end
 
@@ -127,10 +138,10 @@ let charge t klt elapsed =
 let account_running t klt =
   match klt.state with
   | Running ->
-      let e = now t -. klt.exec_start in
+      let e = now t -. klt.kacct.exec_start in
       if e > 0.0 then begin
         charge t klt e;
-        klt.exec_start <- now t
+        klt.kacct.exec_start <- now t
       end
   | Created | Runnable | Blocked _ | Zombie -> ()
 
@@ -138,8 +149,8 @@ let account_running t klt =
    (kernel-mode section). *)
 let charge_running t klt dt =
   if dt > 0.0 then begin
-    klt.exec_start <- now t;
-    Engine.delay dt;
+    klt.kacct.exec_start <- now t;
+    Engine.delay t.eng dt;
     account_running t klt
   end
 
@@ -157,7 +168,7 @@ let rec set_slice t core =
   cancel_slice core;
   let nr = 1 + List.length core.queued in
   let slice = Float.max t.c.min_granularity (t.c.sched_latency /. float_of_int nr) in
-  core.slice_deadline <- now t +. slice;
+  t.slice_deadline.(core.cid) <- now t +. slice;
   core.slice_ev <- Some (Engine.after t.eng slice (fun () -> slice_expired t core))
 
 (* A task was enqueued behind a running one: make sure the current slice
@@ -168,9 +179,9 @@ and tighten_slice t core =
   | None -> ()
   | Some _ ->
       let want = now t +. t.c.min_granularity in
-      if want < core.slice_deadline then begin
+      if want < t.slice_deadline.(core.cid) then begin
         cancel_slice core;
-        core.slice_deadline <- want;
+        t.slice_deadline.(core.cid) <- want;
         core.slice_ev <-
           Some (Engine.after t.eng t.c.min_granularity (fun () -> slice_expired t core))
       end
@@ -215,21 +226,21 @@ and dispatch t core =
           core.current <- Some klt;
           klt.state <- Running;
           klt.core <- Some core.cid;
-          core.min_vruntime <- Float.max core.min_vruntime klt.vruntime;
+          t.min_vruntime.(core.cid) <- Float.max t.min_vruntime.(core.cid) klt.kacct.vruntime;
           if klt.last_core <> core.cid then begin
             (* Cache-refill cost scales with how hot the thread was on
                its previous core (fully hot after ~1 ms of CPU). *)
-            let hotness = Float.min 1.0 (klt.cpu_since_move /. 1e-3) in
-            klt.pending_overhead <-
-              klt.pending_overhead
-              +. (t.c.migration_cache_penalty *. hotness *. klt.kfootprint);
-            klt.cpu_since_move <- 0.0;
+            let hotness = Float.min 1.0 (klt.kacct.cpu_since_move /. 1e-3) in
+            klt.kacct.pending_overhead <-
+              klt.kacct.pending_overhead
+              +. (t.c.migration_cache_penalty *. hotness *. klt.kacct.kfootprint);
+            klt.kacct.cpu_since_move <- 0.0;
             if tracing t then
               emit t "migrate" (Printf.sprintf "%s -> core%d" klt.kname core.cid)
           end;
           klt.last_core <- core.cid;
           if core.last_klt <> klt.kid then
-            klt.pending_overhead <- klt.pending_overhead +. t.c.klt_ctx_switch;
+            klt.kacct.pending_overhead <- klt.kacct.pending_overhead +. t.c.klt_ctx_switch;
           core.last_klt <- klt.kid;
           set_slice t core;
           if tracing t then emit t "dispatch" (Printf.sprintf "%s on core%d" klt.kname core.cid);
@@ -242,8 +253,8 @@ and dispatch t core =
 
 and newidle_balance t core =
   let tnow = now t in
-  if tnow -. core.last_newidle >= t.c.newidle_min_interval then begin
-    core.last_newidle <- tnow;
+  if tnow -. t.last_newidle.(core.cid) >= t.c.newidle_min_interval then begin
+    t.last_newidle.(core.cid) <- tnow;
     (* Pull a queued (not running) KLT from the busiest eligible core. *)
     let best = ref None in
     Array.iter
@@ -300,7 +311,8 @@ let select_core t klt =
 let enqueue t core klt =
   klt.state <- Runnable;
   klt.core <- None;
-  klt.vruntime <- Float.max klt.vruntime (core.min_vruntime -. t.c.sched_latency);
+  klt.kacct.vruntime <-
+    Float.max klt.kacct.vruntime (t.min_vruntime.(core.cid) -. t.c.sched_latency);
   queue_insert core klt
 
 let wake_preempt_check t core woken =
@@ -313,7 +325,7 @@ let wake_preempt_check t core woken =
         | Sched_fifo _, Sched_other -> true
         | Sched_other, Sched_fifo _ -> false
         | Sched_other, Sched_other ->
-            woken.vruntime +. t.c.wakeup_granularity < cur.vruntime
+            woken.kacct.vruntime +. t.c.wakeup_granularity < cur.kacct.vruntime
       in
       if should_preempt then
         match cur.on_interrupt with
@@ -411,10 +423,10 @@ let rec process_signals t klt =
   | Some (signo, rest) ->
       klt.pending_signals <- rest;
       (* Waiting for the lock spins in kernel mode: it burns core time. *)
-      klt.exec_start <- now t;
+      klt.kacct.exec_start <- now t;
       Sync.Mutex.lock t.signal_lock;
       account_running t klt;
-      Engine.delay t.c.signal_lock_hold;
+      Engine.delay t.eng t.c.signal_lock_hold;
       account_running t klt;
       Sync.Mutex.unlock t.signal_lock;
       charge_running t klt t.c.signal_handler_entry;
@@ -457,7 +469,7 @@ let eps = 1e-12
    the chunk ended, and how it ended. *)
 let run_chunk t klt left =
   let chunk_start = now t in
-  klt.exec_start <- chunk_start;
+  klt.kacct.exec_start <- chunk_start;
   let result =
     Engine.block (fun resume ->
         let ev = Engine.after t.eng left (fun () -> resume Chunk_done) in
@@ -487,17 +499,22 @@ let can_step t klt =
   (match Engine.controller t.eng with None -> true | Some _ -> false)
   && (not (Engine.due_now t.eng))
   && (match klt.state with Running -> true | Created | Runnable | Blocked _ | Zombie -> false)
-  && klt.pending_overhead = 0.0
+  && klt.kacct.pending_overhead = 0.0
   && match deliverable klt with None -> true | Some _ -> false
+
+(* The chunk in flight of [run_spin_chunk]: when it started and how much
+   CPU it was armed for.  All-float, so it is stored flat and the
+   per-poll updates allocate nothing (float refs would box each one). *)
+type spin_chunk = { mutable start : float; mutable left : float }
 
 (* An idle poll's chunk.  When it completes and [can_step] holds, its
    event runs the caller's [step] in place of the process; on
    [Spin_again] it starts the next [poll]-second chunk itself, so one
-   idle poll costs one event and no process switch.  [start] and [left]
-   always describe the chunk in flight. *)
+   idle poll costs one event and no process switch.  [ch] always
+   describes the chunk in flight. *)
 let run_spin_chunk t klt ~poll ~step left0 =
-  let start = ref (now t) and left = ref left0 in
-  klt.exec_start <- !start;
+  let ch = { start = now t; left = left0 } in
+  klt.kacct.exec_start <- ch.start;
   let result =
     Engine.block (fun resume ->
         let ev = ref None in
@@ -509,14 +526,14 @@ let run_spin_chunk t klt ~poll ~step left0 =
               | Some _ | None -> ())
         in
         let rec complete () =
-          if !left -. (now t -. !start) <= eps && can_step t klt then begin
+          if ch.left -. (now t -. ch.start) <= eps && can_step t klt then begin
             klt.on_interrupt <- None;
             account_running t klt;
             match step () with
             | Spin_again ->
-                start := now t;
-                left := poll;
-                klt.exec_start <- !start;
+                ch.start <- now t;
+                ch.left <- poll;
+                klt.kacct.exec_start <- ch.start;
                 ev := Some (Engine.after t.eng poll complete);
                 klt.on_interrupt <- on_interrupt
             | Spin_stop -> resume Chunk_stepped
@@ -529,7 +546,7 @@ let run_spin_chunk t klt ~poll ~step left0 =
   in
   klt.on_interrupt <- None;
   account_running t klt;
-  (!left -. (now t -. !start), result)
+  (ch.left -. (now t -. ch.start), result)
 
 let compute_loop t klt amount ~should_stop ~chunk =
   if amount < 0.0 then invalid_arg "Kernel.compute: negative amount";
@@ -542,8 +559,8 @@ let compute_loop t klt amount ~should_stop ~chunk =
        any signal handler runs — so e.g. a timer expiry's kernel work
        sits inside the measured preemption-latency window, as on real
        systems. *)
-    let overhead = klt.pending_overhead in
-    klt.pending_overhead <- 0.0;
+    let overhead = klt.kacct.pending_overhead in
+    klt.kacct.pending_overhead <- 0.0;
     charge_running t klt overhead;
     process_signals t klt;
     if should_stop () then begin
@@ -587,7 +604,7 @@ let consume = charge_running
 
 let add_overhead _t klt d =
   if d < 0.0 then invalid_arg "Kernel.add_overhead: negative";
-  klt.pending_overhead <- klt.pending_overhead +. d
+  klt.kacct.pending_overhead <- klt.kacct.pending_overhead +. d
 
 (* ------------------------------------------------------------------ *)
 (* Blocking. *)
@@ -676,9 +693,11 @@ let yield t klt =
       if core.queued <> [] then begin
         (* CFS yield: behind everything currently queued here. *)
         let maxv =
-          List.fold_left (fun acc k -> Float.max acc k.vruntime) klt.vruntime core.queued
+          List.fold_left
+            (fun acc k -> Float.max acc k.kacct.vruntime)
+            klt.kacct.vruntime core.queued
         in
-        klt.vruntime <- maxv +. 1e-9;
+        klt.kacct.vruntime <- maxv +. 1e-9;
         preempt_self t klt;
         wait_dispatch t klt;
         process_signals t klt
@@ -762,7 +781,15 @@ let spawn t ?(nice = 0) ?affinity ?creator ~name body =
       state = Created;
       nice;
       policy = Sched_other;
-      vruntime = 0.0;
+      kacct =
+        {
+          vruntime = 0.0;
+          cpu_time = 0.0;
+          exec_start = 0.0;
+          cpu_since_move = 0.0;
+          kfootprint = 1.0;
+          pending_overhead = 0.0;
+        };
       affinity;
       core = None;
       last_core =
@@ -774,15 +801,10 @@ let spawn t ?(nice = 0) ?affinity ?creator ~name body =
         | allowed -> List.nth allowed (t.next_kid mod List.length allowed));
       pending_signals = [];
       sigmask = [];
-      cpu_since_move = 0.0;
-      kfootprint = 1.0;
       on_dispatch = None;
       on_interrupt = None;
       on_blocked_signal = None;
       exit_waiters = [];
-      cpu_time = 0.0;
-      exec_start = 0.0;
-      pending_overhead = 0.0;
       wakeups = 0;
     }
   in
@@ -803,7 +825,7 @@ let spawn t ?(nice = 0) ?affinity ?creator ~name body =
 
 let set_footprint _t klt f =
   if f < 0.0 || f > 1.0 then invalid_arg "Kernel.set_footprint: out of [0,1]";
-  klt.kfootprint <- f
+  klt.kacct.kfootprint <- f
 
 let set_policy _t klt p =
   klt.policy <- (match p with `Fifo prio -> Sched_fifo prio | `Other -> Sched_other)
@@ -908,7 +930,7 @@ module Timer = struct
     match tm.target () with
     | Some klt ->
         obs tm.k obs_timer_fire klt.kid tm.count;
-        klt.pending_overhead <- klt.pending_overhead +. tm.k.c.timer_fire;
+        klt.kacct.pending_overhead <- klt.kacct.pending_overhead +. tm.k.c.timer_fire;
         kill tm.k klt tm.signo
     | None -> obs tm.k obs_timer_fire (-1) tm.count
 
@@ -960,18 +982,15 @@ end
 
 let create ?trace eng machine =
   let tr = match trace with Some tr -> tr | None -> Trace.create () in
+  let n = machine.Machine.cores in
   let cores =
-    Array.init machine.Machine.cores (fun cid ->
+    Array.init n (fun cid ->
         {
           cid;
           current = None;
           queued = [];
           slice_ev = None;
-          slice_deadline = infinity;
-          min_vruntime = 0.0;
-          last_newidle = -1.0;
           last_klt = -1;
-          busy_time = 0.0;
         })
   in
   let t =
@@ -980,6 +999,10 @@ let create ?trace eng machine =
       machine;
       c = machine.Machine.costs;
       cores;
+      slice_deadline = Array.make n infinity;
+      min_vruntime = Array.make n 0.0;
+      last_newidle = Array.make n (-1.0);
+      busy_time = Array.make n 0.0;
       all_klts = [];
       signal_lock = Sync.Mutex.create ();
       handlers = Hashtbl.create 16;

@@ -17,22 +17,12 @@ type sched_policy =
   | Sched_other  (* CFS: fair time sharing, nice-weighted *)
   | Sched_fifo of int  (* POSIX real-time FIFO; higher value = higher priority *)
 
-type klt = {
-  kid : int;
-  kname : string;
-  mutable state : klt_state;
-  mutable nice : int;
-  mutable policy : sched_policy;
+(* The floats a KLT's accounting writes per event.  An all-float record
+   is stored flat, so a store into one of its fields is a plain unboxed
+   write: no boxed float allocated, no [caml_modify] on the long-lived
+   [klt].  In [klt] itself each such store would allocate a box. *)
+type klt_acct = {
   mutable vruntime : float;
-  mutable affinity : Cpuset.t;
-  mutable core : int option;  (* core id while Running *)
-  mutable last_core : int;
-  mutable pending_signals : int list;  (* FIFO: oldest first *)
-  mutable sigmask : int list;  (* blocked signal numbers (with multiplicity) *)
-  mutable on_dispatch : (unit -> unit) option;
-  mutable on_interrupt : (interrupt_reason -> unit) option;
-  mutable on_blocked_signal : (unit -> unit) option;
-  mutable exit_waiters : (unit -> unit) list;
   mutable cpu_time : float;
   mutable exec_start : float;
   mutable cpu_since_move : float;
@@ -44,6 +34,24 @@ type klt = {
          runtime (the ULT layer charges its own data movement) *)
   mutable pending_overhead : float;
       (* dispatch / migration / timer costs charged at the next compute *)
+}
+
+type klt = {
+  kid : int;
+  kname : string;
+  mutable state : klt_state;
+  mutable nice : int;
+  mutable policy : sched_policy;
+  kacct : klt_acct;
+  mutable affinity : Cpuset.t;
+  mutable core : int option;  (* core id while Running *)
+  mutable last_core : int;
+  mutable pending_signals : int list;  (* FIFO: oldest first *)
+  mutable sigmask : int list;  (* blocked signal numbers (with multiplicity) *)
+  mutable on_dispatch : (unit -> unit) option;
+  mutable on_interrupt : (interrupt_reason -> unit) option;
+  mutable on_blocked_signal : (unit -> unit) option;
+  mutable exit_waiters : (unit -> unit) list;
   mutable wakeups : int;
 }
 
@@ -52,11 +60,7 @@ type core_state = {
   mutable current : klt option;
   mutable queued : klt list;  (* runnable, not running; sorted by vruntime *)
   mutable slice_ev : Desim.Engine.event option;
-  mutable slice_deadline : float;
-  mutable min_vruntime : float;
-  mutable last_newidle : float;
   mutable last_klt : int;  (* last KLT that ran here, for switch cost *)
-  mutable busy_time : float;
 }
 
 (* CFS load weight of a nice level.  [charge] divides by it on every

@@ -24,7 +24,7 @@ let toy_prog orders env =
   let order = Buffer.create 4 in
   let proc name () =
     Buffer.add_string order name;
-    Engine.delay 0.0;
+    Engine.delay env.Check.eng 0.0;
     Buffer.add_string order name
   in
   Engine.spawn env.Check.eng "A" (proc "a");
@@ -99,12 +99,12 @@ let labeled_toy ?(violating = false) orders env =
   Engine.spawn ~footprint:"s" env.Check.eng "A" (fun () ->
       step "a";
       Engine.set_footprint "pa";
-      Engine.delay 0.0;
+      Engine.delay env.Check.eng 0.0;
       step "a");
   Engine.spawn ~footprint:"pb" env.Check.eng "B" (fun () ->
       step "b";
       Engine.set_footprint "s";
-      Engine.delay 0.0;
+      Engine.delay env.Check.eng 0.0;
       step "b");
   Check.program
     ~oracle:(fun () ->
@@ -161,7 +161,7 @@ let test_dpor_collapses_independent_writers () =
         (Printf.sprintf "W%d" p)
         (fun () ->
           incr cell;
-          Engine.delay 0.0;
+          Engine.delay env.Check.eng 0.0;
           incr cell)
     done;
     Check.program ()

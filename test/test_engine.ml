@@ -54,7 +54,7 @@ let test_process_delay () =
   let log = ref [] in
   Engine.spawn e "p" (fun () ->
       log := (Engine.timestamp (), "start") :: !log;
-      Engine.delay 2.5;
+      Engine.delay e 2.5;
       log := (Engine.timestamp (), "end") :: !log);
   Engine.run e;
   Alcotest.(check (list (pair (float 0.0) string)))
@@ -76,7 +76,7 @@ let test_two_processes_interleave () =
     Engine.spawn e name (fun () ->
         List.iter
           (fun p ->
-            Engine.delay p;
+            Engine.delay e p;
             log := (Engine.timestamp (), name) :: !log)
           periods)
   in
@@ -116,7 +116,7 @@ let test_block_double_resume_rejected () =
 
 let test_live_processes () =
   let e = Engine.create () in
-  Engine.spawn e "sleeper" (fun () -> Engine.delay 10.0);
+  Engine.spawn e "sleeper" (fun () -> Engine.delay e 10.0);
   Alcotest.(check int) "live after spawn" 1 (Engine.live_processes e);
   Engine.run ~until:5.0 e;
   Alcotest.(check int) "still live" 1 (Engine.live_processes e);
@@ -140,7 +140,7 @@ let test_quiescence_accepts_daemons () =
 let test_max_events () =
   let e = Engine.create () in
   let rec forever () =
-    Engine.delay 1.0;
+    Engine.delay e 1.0;
     forever ()
   in
   Engine.spawn e "loop" forever;
@@ -152,12 +152,12 @@ let test_spawn_from_process () =
   let e = Engine.create () in
   let log = ref [] in
   Engine.spawn e "parent" (fun () ->
-      Engine.delay 1.0;
+      Engine.delay e 1.0;
       let eng = Engine.self_engine () in
       Engine.spawn eng "child" (fun () ->
-          Engine.delay 1.0;
+          Engine.delay eng 1.0;
           log := ("child", Engine.timestamp ()) :: !log);
-      Engine.delay 0.5;
+      Engine.delay eng 0.5;
       log := ("parent", Engine.timestamp ()) :: !log);
   Engine.run e;
   Alcotest.(check (list (pair string (float 0.0))))
@@ -172,13 +172,89 @@ let test_determinism () =
     for i = 0 to 9 do
       Engine.spawn e (string_of_int i) (fun () ->
           let r = Rng.split (Engine.rng e) in
-          Engine.delay (Rng.float r);
+          Engine.delay e (Rng.float r);
           Buffer.add_string log (Printf.sprintf "%d@%.6f;" i (Engine.timestamp ())))
     done;
     Engine.run e;
     Buffer.contents log
   in
   Alcotest.(check string) "identical replay" (run_once ()) (run_once ())
+
+(* ---------------- run-ahead delays ---------------- *)
+
+(* A delay whose wake time equals a queued event's key sorts after that
+   event (later sequence number), so the event runs first; one that
+   wakes strictly earlier runs first.  Either way the event count is
+   what pushing the resumption would give. *)
+let test_delay_tie_order () =
+  let order wake =
+    let e = Engine.create () in
+    let log = ref [] in
+    Engine.spawn e "p" (fun () ->
+        ignore (Engine.after e 1.0 (fun () -> log := "event" :: !log));
+        Engine.delay e wake;
+        log := "process" :: !log);
+    Engine.run e;
+    Alcotest.(check int) "events" 3 (Engine.events_processed e);
+    List.rev !log
+  in
+  Alcotest.(check (list string)) "equal key: event first" [ "event"; "process" ] (order 1.0);
+  Alcotest.(check (list string)) "earlier: process first" [ "process"; "event" ] (order 0.5)
+
+(* A delay landing exactly on [until] still runs; one crossing it stops
+   the run at [until] with the process suspended and live. *)
+let test_delay_until () =
+  let e = Engine.create () in
+  let woke = ref [] in
+  Engine.spawn e "p" (fun () ->
+      Engine.delay e 2.0;
+      woke := Engine.now e :: !woke;
+      Engine.delay e 1.0;
+      woke := Engine.now e :: !woke);
+  Engine.run ~until:2.0 e;
+  Alcotest.(check (list (float 0.0))) "woke at until" [ 2.0 ] !woke;
+  Alcotest.(check (float 0.0)) "clock = until" 2.0 (Engine.now e);
+  Alcotest.(check int) "still live" 1 (Engine.live_processes e);
+  Alcotest.(check int) "events" 2 (Engine.events_processed e);
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "woke after" [ 3.0; 2.0 ] !woke;
+  Alcotest.(check int) "done" 0 (Engine.live_processes e)
+
+(* [max_events] trips at the same event and clock whether or not the
+   delays before it ran ahead. *)
+let test_delay_max_events () =
+  let e = Engine.create () in
+  let rec forever () =
+    Engine.delay e 1.0;
+    forever ()
+  in
+  Engine.spawn e "loop" forever;
+  Alcotest.check_raises "overflow" (Failure "Engine.run: exceeded 100 events at t=100")
+    (fun () -> Engine.run ~max_events:100 e);
+  Alcotest.(check int) "events" 101 (Engine.events_processed e)
+
+(* Event callbacks are not processes: [delay] there still performs its
+   effect, which nothing handles — before any process ran, and after a
+   process suspended or returned. *)
+let test_delay_from_event () =
+  let raises e =
+    match Engine.run e with
+    | () -> Alcotest.fail "delay from an event callback should raise"
+    | exception Effect.Unhandled _ -> ()
+  in
+  let e = Engine.create () in
+  ignore (Engine.after e 1.0 (fun () -> Engine.delay e 1.0));
+  raises e;
+  let e = Engine.create () in
+  Engine.spawn e "p" (fun () ->
+      Engine.delay e 0.5;
+      Engine.delay e 5.0);
+  ignore (Engine.after e 1.0 (fun () -> Engine.delay e 1.0));
+  raises e;
+  let e = Engine.create () in
+  Engine.spawn e "p" (fun () -> Engine.delay e 0.5);
+  ignore (Engine.after e 1.0 (fun () -> Engine.delay e 1.0));
+  raises e
 
 let suite =
   [
@@ -199,4 +275,8 @@ let suite =
     Alcotest.test_case "max_events guard" `Quick test_max_events;
     Alcotest.test_case "spawn from process" `Quick test_spawn_from_process;
     Alcotest.test_case "deterministic replay" `Quick test_determinism;
+    Alcotest.test_case "delay tie order" `Quick test_delay_tie_order;
+    Alcotest.test_case "delay across run ~until" `Quick test_delay_until;
+    Alcotest.test_case "delay keeps max_events count" `Quick test_delay_max_events;
+    Alcotest.test_case "delay from event raises" `Quick test_delay_from_event;
   ]

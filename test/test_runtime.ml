@@ -573,6 +573,63 @@ let test_exact_work () =
       ("priority", Sched_priority.make (), (1188, 4575765307799480828L));
     ]
 
+(* The uncontrolled fast paths — an idle poll's step in its completion
+   event, and delays that run ahead — are invisible: a default
+   controller, which installs no choice of its own but turns both off,
+   gives the same final clock, the same per-worker idle time to the bit
+   and the same preemption and KLT-switch counts.  [Sched_priority]
+   draws nothing from the controller (work stealing would draw its
+   victims there instead of from the RNG). *)
+let fast_path_run ~controlled ~kind config =
+  let eng = Engine.create ~seed:11 () in
+  if controlled then Engine.set_controller eng (Some (Choice.create ()));
+  let kernel = Kernel.create eng (Machine.with_cores Machine.skylake 4) in
+  let rt =
+    Runtime.create ~config ~scheduler:(Sched_priority.make ()) kernel ~n_workers:4
+  in
+  let rng = Rng.split (Engine.rng eng) in
+  for i = 0 to 11 do
+    let d = Rng.range rng 0.2e-3 3e-3 in
+    ignore
+      (Runtime.spawn rt ~kind ~priority:(i mod 2) ~home:(i mod 4) (fun () ->
+           Ult.compute (d /. 2.0);
+           Ult.yield ();
+           Ult.compute (d /. 2.0)))
+  done;
+  Runtime.start rt;
+  Engine.run eng;
+  ( Int64.bits_of_float (Engine.now eng),
+    List.init 4 (fun r -> Int64.bits_of_float (Runtime.worker_idle_time rt r)),
+    Runtime.preempt_signals rt,
+    Runtime.klt_switches rt )
+
+let test_fast_paths_invisible () =
+  let klt_switching mode =
+    {
+      (preemptive_config Config.Per_worker_aligned 0.5e-3) with
+      Config.suspend_mode = mode;
+      use_local_klt_pool = true;
+    }
+  in
+  List.iter
+    (fun (name, kind, config) ->
+      let clock, idle, signals, switches = fast_path_run ~controlled:false ~kind config in
+      let clock', idle', signals', switches' = fast_path_run ~controlled:true ~kind config in
+      Alcotest.(check int64) (name ^ " final clock bits") clock clock';
+      Alcotest.(check (list int64)) (name ^ " idle time bits") idle idle';
+      Alcotest.(check int) (name ^ " preempt signals") signals signals';
+      Alcotest.(check int) (name ^ " KLT switches") switches switches';
+      if kind <> Types.Nonpreemptive && signals = 0 then Alcotest.failf "%s: no preemption" name;
+      if kind = Types.Klt_switching && switches = 0 then Alcotest.failf "%s: no KLT switch" name)
+    [
+      ("signal-yield chain", Types.Signal_yield, preemptive_config Config.Per_process_chain 0.5e-3);
+      ("KLT-switching futex", Types.Klt_switching, klt_switching Config.Futex_suspend);
+      ("KLT-switching sigsuspend", Types.Klt_switching, klt_switching Config.Sigsuspend);
+      ( "nonpreemptive aligned",
+        Types.Nonpreemptive,
+        preemptive_config Config.Per_worker_aligned 0.5e-3 );
+    ]
+
 let suite =
   [
     Alcotest.test_case "single ULT" `Quick test_single_ult;
@@ -604,4 +661,5 @@ let suite =
     Alcotest.test_case "idle poll costs one event" `Quick test_idle_poll_one_event;
     Alcotest.test_case "idle poll keeps exact bits" `Quick test_idle_poll_bits;
     Alcotest.test_case "exact work under ws and priority" `Quick test_exact_work;
+    Alcotest.test_case "fast paths invisible to a controller" `Quick test_fast_paths_invisible;
   ]

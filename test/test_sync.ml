@@ -16,7 +16,7 @@ let test_mutex_exclusion () =
               Sync.Mutex.lock m;
               incr inside;
               if !inside > !max_inside then max_inside := !inside;
-              Engine.delay 1.0;
+              Engine.delay e 1.0;
               order := i :: !order;
               decr inside;
               Sync.Mutex.unlock m)
@@ -43,11 +43,11 @@ let test_mutex_waiters () =
   let e = Engine.create () in
   Engine.spawn e "holder" (fun () ->
       Sync.Mutex.lock m;
-      Engine.delay 10.0;
+      Engine.delay e 10.0;
       Sync.Mutex.unlock m);
   for i = 1 to 3 do
     Engine.spawn e (Printf.sprintf "w%d" i) (fun () ->
-        Engine.delay 1.0;
+        Engine.delay e 1.0;
         Sync.Mutex.lock m;
         Sync.Mutex.unlock m)
   done;
@@ -55,96 +55,6 @@ let test_mutex_waiters () =
   Alcotest.(check int) "3 queued" 3 (Sync.Mutex.waiters m);
   Engine.run e;
   Alcotest.(check int) "drained" 0 (Sync.Mutex.waiters m)
-
-let test_ivar () =
-  let iv = Sync.Ivar.create () in
-  let got = ref [] in
-  let _ =
-    run_sim (fun e ->
-        for i = 0 to 2 do
-          Engine.spawn e (Printf.sprintf "r%d" i) (fun () ->
-              let v = Sync.Ivar.read iv in
-              got := (i, v) :: !got)
-        done;
-        Engine.spawn e "writer" (fun () ->
-            Engine.delay 2.0;
-            Sync.Ivar.fill iv 7))
-  in
-  Alcotest.(check int) "all readers woken" 3 (List.length !got);
-  List.iter (fun (_, v) -> Alcotest.(check int) "value" 7 v) !got
-
-let test_ivar_read_after_fill () =
-  let iv = Sync.Ivar.create () in
-  Sync.Ivar.fill iv "x";
-  Alcotest.(check bool) "filled" true (Sync.Ivar.is_filled iv);
-  Alcotest.(check (option string)) "peek" (Some "x") (Sync.Ivar.peek iv);
-  let got = ref "" in
-  let _ = run_sim (fun e -> Engine.spawn e "r" (fun () -> got := Sync.Ivar.read iv)) in
-  Alcotest.(check string) "immediate read" "x" !got
-
-let test_ivar_double_fill () =
-  let iv = Sync.Ivar.create () in
-  Sync.Ivar.fill iv 1;
-  Alcotest.check_raises "double fill" (Invalid_argument "Sync.Ivar.fill: already filled")
-    (fun () -> Sync.Ivar.fill iv 2)
-
-let test_waitq_wake_one_order () =
-  let q = Sync.Waitq.create () in
-  let woken = ref [] in
-  let e = Engine.create () in
-  for i = 0 to 2 do
-    Engine.spawn e (Printf.sprintf "w%d" i) (fun () ->
-        let v = Sync.Waitq.wait q in
-        woken := (i, v) :: !woken)
-  done;
-  ignore
-    (Engine.after e 1.0 (fun () ->
-         ignore (Sync.Waitq.wake_one q "first");
-         ignore (Sync.Waitq.wake_one q "second")));
-  ignore (Engine.after e 2.0 (fun () -> ignore (Sync.Waitq.wake_all q "rest")));
-  Engine.run e;
-  Alcotest.(check (list (pair int string)))
-    "FIFO wake order"
-    [ (0, "first"); (1, "second"); (2, "rest") ]
-    (List.rev !woken)
-
-let test_waitq_wake_empty () =
-  let q = Sync.Waitq.create () in
-  Alcotest.(check bool) "wake_one empty" false (Sync.Waitq.wake_one q ());
-  Alcotest.(check int) "wake_all empty" 0 (Sync.Waitq.wake_all q ())
-
-let test_waitq_cancellable () =
-  let q = Sync.Waitq.create () in
-  let result = ref (Some "unset") in
-  let cancel = ref (fun () -> ()) in
-  let e = Engine.create () in
-  Engine.spawn e "w" (fun () -> result := Sync.Waitq.wait_cancellable q ~cancel_ref:cancel);
-  ignore (Engine.after e 1.0 (fun () -> !cancel ()));
-  Engine.run e;
-  Alcotest.(check (option string)) "cancelled yields None" None !result;
-  (* A cancelled waiter must not absorb wakes. *)
-  Alcotest.(check bool) "queue logically empty" false (Sync.Waitq.wake_one q "x")
-
-let test_semaphore () =
-  let sem = Sync.Semaphore.create 2 in
-  let active = ref 0 and peak = ref 0 in
-  let _ =
-    run_sim (fun e ->
-        for i = 0 to 5 do
-          Engine.spawn e (Printf.sprintf "s%d" i) (fun () ->
-              Sync.Semaphore.acquire sem;
-              incr active;
-              if !active > !peak then peak := !active;
-              Engine.delay 1.0;
-              decr active;
-              Sync.Semaphore.release sem)
-        done)
-  in
-  Alcotest.(check int) "at most 2 concurrent" 2 !peak
-
-let test_semaphore_negative () =
-  Alcotest.check_raises "negative" (Invalid_argument "Sync.Semaphore.create: negative")
-    (fun () -> ignore (Sync.Semaphore.create (-1)))
 
 let test_trace () =
   let tr = Trace.create () in
@@ -167,13 +77,5 @@ let suite =
     Alcotest.test_case "mutex try_lock" `Quick test_mutex_try_lock;
     Alcotest.test_case "mutex unlock unlocked" `Quick test_mutex_unlock_unlocked;
     Alcotest.test_case "mutex waiter count" `Quick test_mutex_waiters;
-    Alcotest.test_case "ivar broadcast" `Quick test_ivar;
-    Alcotest.test_case "ivar read after fill" `Quick test_ivar_read_after_fill;
-    Alcotest.test_case "ivar double fill" `Quick test_ivar_double_fill;
-    Alcotest.test_case "waitq wake order" `Quick test_waitq_wake_one_order;
-    Alcotest.test_case "waitq wake empty" `Quick test_waitq_wake_empty;
-    Alcotest.test_case "waitq cancellable" `Quick test_waitq_cancellable;
-    Alcotest.test_case "semaphore limits concurrency" `Quick test_semaphore;
-    Alcotest.test_case "semaphore negative init" `Quick test_semaphore_negative;
     Alcotest.test_case "trace enable/filter/clear" `Quick test_trace;
   ]
