@@ -1,8 +1,9 @@
 (* Runtime observability: per-worker counters + log-scale histograms.
-   Shapes follow LibPreemptible's per-quantum accounting: cheap fixed
-   counters on the hot paths, percentiles recovered from fixed buckets
-   rather than stored samples, so the cost is O(1) per event and the
-   memory bound is static. *)
+   Shapes follow LibPreemptible's per-quantum accounting: fixed
+   counters, percentiles recovered from fixed buckets rather than
+   stored samples, so the cost is O(1) per event.  Everything except
+   the pool and I/O-restart counters is folded from the runtime's event
+   stream, the same events the flight recorder keeps. *)
 
 module Hist = struct
   (* Buckets cover [1e-9, 1e2) seconds, 8 per decade, plus underflow and
@@ -151,80 +152,112 @@ let zero_wcounters () =
 
 let copy_wcounters c = { c with preempts = c.preempts }
 
-type t = {
-  mutable on : bool;
+(* Everything a fold writes, allocated by the first enable, the way the
+   recorder allocates its rings. *)
+type live = {
   workers : wcounters array;
   mutable sync_blocks : int;
   mutable sync_wakeups : int;
   sig_to_switch : Hist.t;
   sched_delay : Hist.t;
   run_quantum : Hist.t;
+  (* Start times by ULT uid, NaN when not seen: when the thread last
+     became ready, and when its current run slice began. *)
+  mutable ready_at : Itab.Float.t;
+  mutable run_started : Itab.Float.t;
 }
 
-let create ~n_workers =
+type t = { mutable on : bool; n_workers : int; mutable live : live option }
+
+let fresh n_workers =
   {
-    on = false;
     workers = Array.init n_workers (fun _ -> zero_wcounters ());
     sync_blocks = 0;
     sync_wakeups = 0;
     sig_to_switch = Hist.create ();
     sched_delay = Hist.create ();
     run_quantum = Hist.create ();
+    ready_at = Itab.Float.create 64;
+    run_started = Itab.Float.create 64;
   }
+
+let create ~n_workers = { on = false; n_workers; live = None }
 
 let enabled t = t.on
 
-let set_enabled t b = t.on <- b
+(* A wait or slice that began while metrics were off has no start time,
+   so it takes no sample: an enable forgets the start times. *)
+let set_enabled t b =
+  if b && not t.on then begin
+    match t.live with
+    | None -> t.live <- Some (fresh t.n_workers)
+    | Some l ->
+        l.ready_at <- Itab.Float.create 64;
+        l.run_started <- Itab.Float.create 64
+  end;
+  t.on <- b
 
-let observe_sig_to_switch t v = if t.on then Hist.add t.sig_to_switch v
+(* A run slice of [uid] ends at [ts]. *)
+let slice_end l uid ts =
+  let t0 = Itab.Float.take l.run_started uid in
+  if not (Float.is_nan t0) then Hist.add l.run_quantum (ts -. t0)
 
-let observe_sched_delay t v = if t.on then Hist.add t.sched_delay v
+let fold t ~posted ring ts code a b =
+  match t.live with
+  | Some l when t.on ->
+      if code = Recorder.ev_run || code = Recorder.ev_resume then begin
+        let r = Itab.Float.take l.ready_at a in
+        if not (Float.is_nan r) then Hist.add l.sched_delay (ts -. r);
+        Itab.Float.set l.run_started a ts
+      end
+      else if code = Recorder.ev_preempt then begin
+        let c = l.workers.(ring) in
+        if b = 0 then c.signal_yields <- c.signal_yields + 1
+        else c.klt_switches <- c.klt_switches + 1;
+        slice_end l a ts;
+        Itab.Float.set l.ready_at a ts
+      end
+      else if code = Recorder.ev_yield then begin
+        slice_end l a ts;
+        Itab.Float.set l.ready_at a ts
+      end
+      else if code = Recorder.ev_block then slice_end l a ts
+      else if code = Recorder.ev_spawn || code = Recorder.ev_ready then
+        Itab.Float.set l.ready_at a ts
+      else if code = Recorder.ev_finish then begin
+        ignore (Itab.Float.take l.ready_at a);
+        ignore (Itab.Float.take l.run_started a)
+      end
+      else if code = Recorder.ev_preempt_req then begin
+        let c = l.workers.(ring) in
+        c.preempts <- c.preempts + 1
+      end
+      else if code = Recorder.ev_steal then begin
+        let c = l.workers.(ring) in
+        c.steals <- c.steals + 1
+      end
+      else if code = Recorder.ev_sig_post then begin
+        if b = 0 then
+          let c = l.workers.(ring) in
+          c.timer_fires <- c.timer_fires + 1
+      end
+      else if code = Recorder.ev_preempt_done then
+        Hist.add l.sig_to_switch (ts -. posted.(ring))
+      else if code = Recorder.ev_sync_block then l.sync_blocks <- l.sync_blocks + 1
+      else if code = Recorder.ev_sync_wake then l.sync_wakeups <- l.sync_wakeups + 1
+  | Some _ | None -> ()
 
-let observe_run_quantum t v = if t.on then Hist.add t.run_quantum v
+(* Facts with no event code, bumped directly. *)
 
-let incr_preempts t r =
-  if t.on then
-    let c = t.workers.(r) in
-    c.preempts <- c.preempts + 1
+let bump t r f =
+  match t.live with Some l when t.on -> f l.workers.(r) | Some _ | None -> ()
 
-let incr_signal_yields t r =
-  if t.on then
-    let c = t.workers.(r) in
-    c.signal_yields <- c.signal_yields + 1
+let incr_pool_gets t r = bump t r (fun c -> c.pool_gets <- c.pool_gets + 1)
 
-let incr_klt_switches t r =
-  if t.on then
-    let c = t.workers.(r) in
-    c.klt_switches <- c.klt_switches + 1
-
-let incr_pool_gets t r =
-  if t.on then
-    let c = t.workers.(r) in
-    c.pool_gets <- c.pool_gets + 1
-
-let incr_pool_puts t r =
-  if t.on then
-    let c = t.workers.(r) in
-    c.pool_puts <- c.pool_puts + 1
-
-let incr_steals t r =
-  if t.on then
-    let c = t.workers.(r) in
-    c.steals <- c.steals + 1
-
-let incr_timer_fires t r =
-  if t.on then
-    let c = t.workers.(r) in
-    c.timer_fires <- c.timer_fires + 1
+let incr_pool_puts t r = bump t r (fun c -> c.pool_puts <- c.pool_puts + 1)
 
 let add_io_restarts t r n =
-  if t.on && n > 0 then
-    let c = t.workers.(r) in
-    c.io_restarts <- c.io_restarts + n
-
-let incr_sync_blocks t = if t.on then t.sync_blocks <- t.sync_blocks + 1
-
-let incr_sync_wakeups t = if t.on then t.sync_wakeups <- t.sync_wakeups + 1
+  if n > 0 then bump t r (fun c -> c.io_restarts <- c.io_restarts + n)
 
 type snapshot = {
   s_workers : wcounters array;
@@ -237,6 +270,7 @@ type snapshot = {
 }
 
 let snapshot t =
+  let l = match t.live with Some l -> l | None -> fresh t.n_workers in
   let totals = zero_wcounters () in
   Array.iter
     (fun c ->
@@ -248,15 +282,15 @@ let snapshot t =
       totals.steals <- totals.steals + c.steals;
       totals.timer_fires <- totals.timer_fires + c.timer_fires;
       totals.io_restarts <- totals.io_restarts + c.io_restarts)
-    t.workers;
+    l.workers;
   {
-    s_workers = Array.map copy_wcounters t.workers;
+    s_workers = Array.map copy_wcounters l.workers;
     s_totals = totals;
-    s_sync_blocks = t.sync_blocks;
-    s_sync_wakeups = t.sync_wakeups;
-    s_sig_to_switch = Hist.copy t.sig_to_switch;
-    s_sched_delay = Hist.copy t.sched_delay;
-    s_run_quantum = Hist.copy t.run_quantum;
+    s_sync_blocks = l.sync_blocks;
+    s_sync_wakeups = l.sync_wakeups;
+    s_sig_to_switch = Hist.copy l.sig_to_switch;
+    s_sched_delay = Hist.copy l.sched_delay;
+    s_run_quantum = Hist.copy l.run_quantum;
   }
 
 let summary s =

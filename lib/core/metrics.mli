@@ -1,15 +1,18 @@
 (** First-class runtime observability: per-worker event counters and
     fixed-bucket log-scale latency histograms.
 
-    Everything here is off by default.  Each instrumentation hook in the
-    runtime is guarded by one boolean load — like {!Desim.Trace.emit} on
-    a disabled trace, the disabled path records nothing and costs a
-    single branch.  Enable at construction time via
-    [Config.metrics_enabled] or at any point with
+    Off by default.  The runtime sends each of its events through one
+    emit, behind one boolean guard, which writes the flight recorder's
+    ring ({!Recorder}) and calls {!fold} here; every counter and
+    histogram except [pool_gets], [pool_puts] and [io_restarts] (facts
+    with no event code, bumped directly) is derived from those events.
+    State is allocated by the first enable.  Enable at construction
+    time via [Config.metrics_enabled] or at any point with
     {!Runtime.set_metrics_enabled}; read results with {!Runtime.metrics}
     (a {!snapshot}).
 
-    See [docs/observability.md] for the full metric catalogue. *)
+    See [docs/observability.md] for the full metric catalogue and the
+    events each metric folds. *)
 
 module Hist : sig
   (** Fixed-bucket log-scale histogram of durations in seconds.
@@ -87,9 +90,8 @@ module Hist : sig
   val merge : t -> t -> t
 end
 
-(** Per-worker event counters.  The runtime bumps these directly on its
-    hot paths (they are mutable by design); read them through
-    {!snapshot}, which deep-copies. *)
+(** Per-worker event counters; read them through {!snapshot}, which
+    deep-copies. *)
 type wcounters = {
   mutable preempts : int;
       (** preemption-signal deliveries that hit (and flagged) a
@@ -107,60 +109,34 @@ type wcounters = {
       (** SA_RESTART resumptions of blocking I/O after a signal *)
 }
 
-type t = {
-  mutable on : bool;
-  workers : wcounters array;
-  mutable sync_blocks : int;
-      (** ULTs that blocked on a [Usync] primitive (contended mutex,
-          barrier wait, empty channel/ivar, join) *)
-  mutable sync_wakeups : int;
-      (** ULTs readied by a [Usync] primitive (handoff, release,
-          broadcast) *)
-  sig_to_switch : Hist.t;
-      (** preemption-signal post -> next thread running on the worker
-          (the paper's Table 1 metric, as a distribution) *)
-  sched_delay : Hist.t;  (** thread became ready -> thread running *)
-  run_quantum : Hist.t;
-      (** length of a run slice ended by preemption, yield or suspend *)
-}
+type t
 
 val create : n_workers:int -> t
 
 val enabled : t -> bool
 
+(** Turning metrics on allocates their state the first time, and each
+    time forgets the start times of waits and run slices that began
+    while they were off, so those take no sample. *)
 val set_enabled : t -> bool -> unit
 
-(** {1 Guarded hooks}
+(** [fold t ~posted ring ts code a b] folds one runtime event (a
+    {!Recorder} code with its ring and arguments) into the counters and
+    histograms; a no-op while disabled.  [posted.(rank)] is the post
+    time of the preemption signal being measured on worker [rank]: the
+    signal-to-switch sample of an [ev_preempt_done] is [ts -. posted.(ring)]. *)
+val fold : t -> posted:float array -> int -> float -> int -> int -> int -> unit
 
-    All of these are no-ops while disabled; the counter increments in
-    the runtime test [t.on] inline instead. *)
+(** {1 Direct counters}
 
-val observe_sig_to_switch : t -> float -> unit
-
-val observe_sched_delay : t -> float -> unit
-
-val observe_run_quantum : t -> float -> unit
-
-val incr_preempts : t -> int -> unit
-
-val incr_signal_yields : t -> int -> unit
-
-val incr_klt_switches : t -> int -> unit
+    For the facts with no event code; no-ops while disabled. *)
 
 val incr_pool_gets : t -> int -> unit
 
 val incr_pool_puts : t -> int -> unit
 
-val incr_steals : t -> int -> unit
-
-val incr_timer_fires : t -> int -> unit
-
 (** [add_io_restarts t rank n] *)
 val add_io_restarts : t -> int -> int -> unit
-
-val incr_sync_blocks : t -> unit
-
-val incr_sync_wakeups : t -> unit
 
 (** {1 Snapshots} *)
 
@@ -168,10 +144,18 @@ type snapshot = {
   s_workers : wcounters array;  (** deep copies, one per worker *)
   s_totals : wcounters;  (** field-wise sums over all workers *)
   s_sync_blocks : int;
+      (** ULTs that blocked on a [Usync] or [Ulock] primitive (contended
+          mutex, barrier wait, empty channel/ivar, join, parked lock
+          waiter) *)
   s_sync_wakeups : int;
+      (** ULTs readied by such a primitive (handoff, release,
+          broadcast) *)
   s_sig_to_switch : Hist.t;
-  s_sched_delay : Hist.t;
+      (** preemption-signal post -> next thread running on the worker
+          (the paper's Table 1 metric, as a distribution) *)
+  s_sched_delay : Hist.t;  (** thread became ready -> thread running *)
   s_run_quantum : Hist.t;
+      (** length of a run slice ended by preemption, yield or block *)
 }
 
 (** Immutable deep copy of the current state.  Snapshots taken at the

@@ -1,10 +1,9 @@
 (* Flight recorder: per-worker ring buffers of int-coded timestamped
    events, in the style of Go's execution tracer and magic-trace.  The
    rings are allocated the first time the recorder is enabled, so a
-   recorder that is never switched on costs a few words.  The write
-   path is the same discipline as [Metrics]: callers guard on [t.on]
-   (one boolean load when disabled); an enabled emit is one modulo
-   index plus four array stores.  The analysis passes below — lifecycle
+   recorder that is never switched on costs a few words.  Callers guard
+   their emits (one boolean load when disabled); an enabled emit is one
+   modulo index plus four array stores.  The analysis passes below — lifecycle
    reconstruction, preemption-latency attribution, anomaly detection —
    run post-mortem on a decoded copy, never on the hot path. *)
 

@@ -9,11 +9,13 @@
     [set_enabled t true] allocates every ring at full capacity, and
     they stay allocated from then on.
 
-    Write discipline matches {!Metrics}: call sites guard on {!field:on}
-    so a disabled recorder costs one boolean load; an enabled {!emit} is
-    a modulo index and four array stores.  Everything else in this
-    module — decoding, lifecycle reconstruction, latency attribution,
-    anomaly detection, the binary dump — runs post-mortem. *)
+    The simulated runtime writes here through its one instrumentation
+    stream ([Types.emit]), which also folds each event into {!Metrics};
+    the real fiber runtime guards its own emits on {!field:on}.  A
+    disabled recorder costs the site one boolean load; an enabled
+    {!emit} is a modulo index and four array stores.  Everything else in
+    this module — decoding, lifecycle reconstruction, latency
+    attribution, anomaly detection, the binary dump — runs post-mortem. *)
 
 (** {1 Event codes}
 
@@ -157,9 +159,8 @@ type ring = {
 
 type t = private {
   mutable on : bool;
-      (** write-enable flag; read directly by emit sites, like
-          [Metrics.on].  Set only through {!set_enabled}, which
-          allocates the rings first. *)
+      (** write-enable flag, read directly by emit sites.  Set only
+          through {!set_enabled}, which allocates the rings first. *)
   capacity : int;
   n_rings : int;
   mutable rings : ring array;
@@ -278,8 +279,8 @@ val lifecycles : event array -> lifecycle list
     runtime's [measure_preempt] latch), so within one worker's ring the
     chain [sig-post (t0) -> preempt-req (t1) -> preempt (t2) ->
     preempt-done (t3)] pairs up exactly.  Stage durations sum to
-    [t3 - t0] — the same sample, computed from the same timestamps, that
-    the runtime feeds its signal-to-switch histogram. *)
+    [t3 - t0] — the same sample, from the same events, that {!Metrics}
+    folds into its signal-to-switch histogram. *)
 
 type chain = {
   at_worker : int;

@@ -6,8 +6,6 @@ type t = rt
 
 let kernel rt = rt.kernel
 
-let n_workers rt = Array.length rt.workers
-
 let n_active rt = rt.n_active
 
 let unfinished rt = rt.unfinished
@@ -22,7 +20,13 @@ let metrics rt = Metrics.snapshot rt.metrics
 
 let metrics_enabled rt = Metrics.enabled rt.metrics
 
-let set_metrics_enabled rt b = Metrics.set_enabled rt.metrics b
+(* The guard of every instrumented site: the recorder or metrics is on. *)
+let refresh_observed rt =
+  rt.observed <- Recorder.enabled rt.recorder || Metrics.enabled rt.metrics
+
+let set_metrics_enabled rt b =
+  Metrics.set_enabled rt.metrics b;
+  refresh_observed rt
 
 let preempt_signals rt = rt.preempt_signals
 
@@ -35,15 +39,6 @@ let worker_idle_time rt r = rt.idle_time.(r)
 let now rt = Kernel.now rt.kernel
 
 let costs rt = Kernel.costs rt.kernel
-
-(* Flight-recorder emits.  Call sites guard on [rt.recorder.Recorder.on]
-   (one boolean load when disabled, like the Metrics hooks); [rec_w]
-   writes to the current worker's ring, [rec_g] to the global ring for
-   events that can fire outside any worker context. *)
-let rec_w rt (w : worker) code a b = Recorder.emit rt.recorder w.rank (now rt) code a b
-
-let rec_g rt code a b =
-  Recorder.emit rt.recorder (Recorder.global_ring rt.recorder) (now rt) code a b
 
 (* Kernel events arrive through the engine observer (installed only
    while the recorder is enabled, so a disabled recorder costs the
@@ -68,7 +63,8 @@ let recorder_enabled rt = Recorder.enabled rt.recorder
 let set_recorder_enabled rt b =
   Recorder.set_enabled rt.recorder b;
   Engine.set_observer (Kernel.engine rt.kernel)
-    (if b then Some (kernel_observer rt) else None)
+    (if b then Some (kernel_observer rt) else None);
+  refresh_observed rt
 
 let flight_events rt = Recorder.events rt.recorder
 
@@ -156,8 +152,7 @@ let ready rt (u : ult) =
   match u.ustate with
   | U_blocked ->
       u.ustate <- U_ready;
-      if rt.metrics.Metrics.on then u.ready_at <- now rt;
-      if rt.recorder.Recorder.on then rec_g rt Recorder.ev_ready u.uid 0;
+      if rt.observed then emit rt (global_ring rt) Recorder.ev_ready u.uid 0;
       rt.sched.on_ready rt u
   | U_ready | U_running | U_bound | U_finished ->
       invalid_arg (Printf.sprintf "Runtime.ready: %s is not blocked" u.uname)
@@ -166,7 +161,7 @@ let on_finish rt (u : ult) =
   u.ustate <- U_finished;
   u.work <- None;
   u.cur_worker <- None;
-  if rt.recorder.Recorder.on then rec_g rt Recorder.ev_finish u.uid 0;
+  if rt.observed then emit rt (global_ring rt) Recorder.ev_finish u.uid 0;
   rt.unfinished <- rt.unfinished - 1;
   let waiters = u.join_waiters in
   u.join_waiters <- [];
@@ -184,12 +179,7 @@ let signal_yield_preempt rt (w : worker) (u : ult) cont =
       Kernel.consume rt.kernel klt
         ((costs rt).Machine.ult_ctx_switch +. (costs rt).Machine.handler_ctx_switch)
   | None -> ());
-  if rt.metrics.Metrics.on then begin
-    Metrics.incr_signal_yields rt.metrics w.rank;
-    Metrics.observe_run_quantum rt.metrics (now rt -. u.run_started);
-    u.ready_at <- now rt
-  end;
-  if rt.recorder.Recorder.on then rec_w rt w Recorder.ev_preempt u.uid 0;
+  if rt.observed then emit rt w.rank Recorder.ev_preempt u.uid 0;
   u.work <- Some cont;
   u.ustate <- U_ready;
   u.cur_worker <- None;
@@ -199,13 +189,8 @@ let signal_yield_preempt rt (w : worker) (u : ult) cont =
 (* KLT-switching suspend path (paper Fig. 2). *)
 let klt_switch_preempt rt (w : worker) (u : ult) klt cont_left =
   rt.klt_switches <- rt.klt_switches + 1;
-  if rt.metrics.Metrics.on then begin
-    Metrics.incr_klt_switches rt.metrics w.rank;
-    Metrics.observe_run_quantum rt.metrics (now rt -. u.run_started);
-    u.ready_at <- now rt
-  end;
+  if rt.observed then emit rt w.rank Recorder.ev_preempt u.uid 1;
   Kernel.consume rt.kernel klt (costs rt).Machine.handler_ctx_switch;
-  if rt.recorder.Recorder.on then rec_w rt w Recorder.ev_preempt u.uid 1;
   u.ustate <- U_bound;
   u.bound_klt <- Some klt;
   u.resume_worker <- None;
@@ -242,13 +227,7 @@ let klt_switch_preempt rt (w : worker) (u : ult) klt cont_left =
   u.ustate <- U_running;
   u.cur_worker <- Some w2;
   w2.current <- Some u;
-  if rt.recorder.Recorder.on then rec_w rt w2 Recorder.ev_resume u.uid 0;
-  if rt.metrics.Metrics.on then begin
-    if not (Float.is_nan u.ready_at) then
-      Metrics.observe_sched_delay rt.metrics (now rt -. u.ready_at);
-    u.ready_at <- Float.nan;
-    u.run_started <- now rt
-  end;
+  if rt.observed then emit rt w2.rank Recorder.ev_resume u.uid 0;
   (* The thread moves *together with* its bound KLT: the kernel's
      migration penalty on that KLT's dispatch already prices the cache
      refill — charging the ULT-level penalty too would double-count. *)
@@ -293,8 +272,8 @@ let rec do_compute rt (u : ult) k d =
                   (* Hand the worker over before sleeping. *)
                   detach_klt rt klt;
                   attach_klt rt w nklt;
-                  if rt.recorder.Recorder.on then
-                    rec_w rt w Recorder.ev_klt_remap (Kernel.klt_id nklt) 0;
+                  if rt.observed then
+                    emit rt w.rank Recorder.ev_klt_remap (Kernel.klt_id nklt) 0;
                   send_parked rt ~waker:klt nklt (`Attach w);
                   klt_switch_preempt rt w u klt (fun () -> go left))
         end
@@ -336,11 +315,7 @@ and handler rt (u : ult) : (unit, unit) Effect.Deep.handler =
                 (match w.wklt with
                 | Some klt -> Kernel.consume rt.kernel klt (costs rt).Machine.ult_ctx_switch
                 | None -> ());
-                if rt.metrics.Metrics.on then begin
-                  Metrics.observe_run_quantum rt.metrics (now rt -. u.run_started);
-                  u.ready_at <- now rt
-                end;
-                if rt.recorder.Recorder.on then rec_w rt w Recorder.ev_yield u.uid 0;
+                if rt.observed then emit rt w.rank Recorder.ev_yield u.uid 0;
                 u.work <- Some (fun () -> Effect.Deep.continue k ());
                 u.ustate <- U_ready;
                 u.cur_worker <- None;
@@ -355,9 +330,7 @@ and handler rt (u : ult) : (unit, unit) Effect.Deep.handler =
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 let w = Option.get u.cur_worker in
-                if rt.metrics.Metrics.on then
-                  Metrics.observe_run_quantum rt.metrics (now rt -. u.run_started);
-                if rt.recorder.Recorder.on then rec_w rt w Recorder.ev_block u.uid 0;
+                if rt.observed then emit rt w.rank Recorder.ev_block u.uid 0;
                 u.work <- Some (fun () -> Effect.Deep.continue k ());
                 u.ustate <- U_blocked;
                 u.cur_worker <- None;
@@ -396,6 +369,15 @@ let initiate_stop rt =
   end
 
 let stop = initiate_stop
+
+(* The thread [u] runs next on [w], which holds a measured preemption:
+   the Table 1 sample, signal post -> switch. *)
+let switch_measured rt (w : worker) (u : ult) =
+  let lat = now rt -. rt.preempt_post_time.(w.rank) in
+  Stats.add rt.preempt_latency_stats lat;
+  if rt.observed then
+    emit rt w.rank Recorder.ev_preempt_done u.uid (int_of_float (lat *. 1e9));
+  w.measure_preempt <- false
 
 (* Start of the idle poll in flight; all-float, so stored flat and
    updated without allocating (a [float ref] would box each store). *)
@@ -507,21 +489,8 @@ and run_entry rt (w : worker) klt (u : ult) =
         u.ult_cpu_since_move <- 0.0
       end;
       u.last_worker <- w.rank;
-      if rt.recorder.Recorder.on then rec_w rt w Recorder.ev_run u.uid 0;
-      if w.measure_preempt then begin
-        Stats.add rt.preempt_latency_stats (now rt -. rt.preempt_post_time.(w.rank));
-        Metrics.observe_sig_to_switch rt.metrics (now rt -. rt.preempt_post_time.(w.rank));
-        if rt.recorder.Recorder.on then
-          rec_w rt w Recorder.ev_preempt_done u.uid
-            (int_of_float ((now rt -. rt.preempt_post_time.(w.rank)) *. 1e9));
-        w.measure_preempt <- false
-      end;
-      if rt.metrics.Metrics.on then begin
-        if not (Float.is_nan u.ready_at) then
-          Metrics.observe_sched_delay rt.metrics (now rt -. u.ready_at);
-        u.ready_at <- Float.nan;
-        u.run_started <- now rt
-      end;
+      if rt.observed then emit rt w.rank Recorder.ev_run u.uid 0;
+      if w.measure_preempt then switch_measured rt w u;
       (match u.work with
       | Some work ->
           u.work <- None;
@@ -543,14 +512,7 @@ and run_entry rt (w : worker) klt (u : ult) =
    the thread, hand it our worker, and park our own KLT. *)
 and resume_bound rt (w : worker) klt (u : ult) =
   let bklt = Option.get u.bound_klt in
-  if w.measure_preempt then begin
-    Stats.add rt.preempt_latency_stats (now rt -. rt.preempt_post_time.(w.rank));
-    Metrics.observe_sig_to_switch rt.metrics (now rt -. rt.preempt_post_time.(w.rank));
-    if rt.recorder.Recorder.on then
-      rec_w rt w Recorder.ev_preempt_done u.uid
-        (int_of_float ((now rt -. rt.preempt_post_time.(w.rank)) *. 1e9));
-    w.measure_preempt <- false
-  end;
+  if w.measure_preempt then switch_measured rt w u;
   detach_klt rt klt;
   attach_klt rt w bklt;
   w.current <- None;
@@ -570,15 +532,14 @@ let maybe_request_preempt rt (w : worker) posted =
       rt.preempt_post_time.(w.rank) <- posted;
       w.measure_preempt <- true;
       rt.preempt_signals <- rt.preempt_signals + 1;
-      if rt.recorder.Recorder.on then rec_w rt w Recorder.ev_preempt_req u.uid 0;
-      Metrics.incr_preempts rt.metrics w.rank
+      if rt.observed then emit rt w.rank Recorder.ev_preempt_req u.uid 0
   | _ -> ()
 
 let post_forward rt ~sender (w : worker) =
   match w.wklt with
   | Some klt ->
       Itab.Float.set rt.signal_posted (Kernel.klt_id klt) (now rt);
-      if rt.recorder.Recorder.on then rec_w rt w Recorder.ev_sig_post w.rank 1;
+      if rt.observed then emit rt w.rank Recorder.ev_sig_post w.rank 1;
       Kernel.pthread_kill rt.kernel ~sender klt sig_forward
   | None -> ()
 
@@ -708,15 +669,14 @@ let create ?(config = Config.default) ?scheduler kernel ~n_workers =
     main_queued = 0;
     preempt_signals = 0;
     klt_switches = 0;
-    metrics =
-      (let m = Metrics.create ~n_workers in
-       Metrics.set_enabled m config.Config.metrics_enabled;
-       m);
+    metrics = Metrics.create ~n_workers;
     recorder = Recorder.create ~n_workers ~capacity:config.Config.recorder_capacity;
+    observed = false;
   }
 
 let create ?config ?scheduler kernel ~n_workers =
   let rt = create ?config ?scheduler kernel ~n_workers in
+  if rt.cfg.Config.metrics_enabled then set_metrics_enabled rt true;
   (* Installing the engine observer only while recording keeps the
      kernel's disabled path at one option check per emit site. *)
   if rt.cfg.Config.recorder_enabled then set_recorder_enabled rt true;
@@ -745,14 +705,11 @@ let spawn rt ?(kind = Nonpreemptive) ?(priority = 0) ?(footprint = 1.0) ?home ?n
       join_waiters = [];
       preemptions = 0;
       ult_cpu_since_move = 0.0;
-      ready_at = Float.nan;
-      run_started = 0.0;
     }
   in
   u.work <- Some (fun () -> Effect.Deep.match_with body () (handler rt u));
   rt.unfinished <- rt.unfinished + 1;
-  if rt.metrics.Metrics.on then u.ready_at <- now rt;
-  if rt.recorder.Recorder.on then rec_g rt Recorder.ev_spawn u.uid 0;
+  if rt.observed then emit rt (global_ring rt) Recorder.ev_spawn u.uid 0;
   rt.sched.on_ready rt u;
   u
 
@@ -764,8 +721,7 @@ let install_timers rt =
       match w.wklt with
       | Some klt ->
           Itab.Float.set rt.signal_posted (Kernel.klt_id klt) (now rt);
-          Metrics.incr_timer_fires rt.metrics w.rank;
-          if rt.recorder.Recorder.on then rec_w rt w Recorder.ev_sig_post w.rank 0;
+          if rt.observed then emit rt w.rank Recorder.ev_sig_post w.rank 0;
           Some klt
       | None -> None
   in

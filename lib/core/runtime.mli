@@ -75,8 +75,6 @@ val n_active : t -> int
 
 val kernel : t -> Oskern.Kernel.t
 
-val n_workers : t -> int
-
 (** Threads spawned and not yet finished. *)
 val unfinished : t -> int
 
@@ -119,7 +117,8 @@ val metrics_enabled : t -> bool
 
 (** Toggle metric recording at any point (counters keep accumulating
     across toggles; take snapshots and difference them to measure an
-    interval). *)
+    interval).  A wait or run slice that began while metrics were off
+    takes no histogram sample. *)
 val set_metrics_enabled : t -> bool -> unit
 
 (** {1 Flight recorder (see [docs/observability.md])} *)
@@ -127,7 +126,9 @@ val set_metrics_enabled : t -> bool -> unit
 (** The runtime's {!Recorder}: per-worker ring buffers of timestamped
     lifecycle, preemption and kernel events.  Recording is off unless
     [Config.recorder_enabled] was set or {!set_recorder_enabled} was
-    called; a disabled recorder costs one boolean load per hook. *)
+    called.  Toggle it only through {!set_recorder_enabled}, which also
+    sets the runtime's instrumentation guard: with the recorder and
+    metrics both off, each instrumented site costs one boolean load. *)
 val recorder : t -> Recorder.t
 
 val recorder_enabled : t -> bool

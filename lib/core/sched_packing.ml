@@ -36,13 +36,7 @@ let pop_shared rt (w : worker) =
       | Some u ->
           (* A grab from a shared pool that is not the worker's own
              counts as a (cooperative) steal for the metrics layer. *)
-          if i <> w.rank then begin
-            Metrics.incr_steals rt.metrics w.rank;
-            if rt.recorder.Recorder.on then
-              Recorder.emit rt.recorder w.rank
-                (Oskern.Kernel.now rt.kernel)
-                Recorder.ev_steal u.uid i
-          end;
+          if i <> w.rank && rt.observed then emit rt w.rank Recorder.ev_steal u.uid i;
           Some u
       | None -> scan (i + 1)
   in

@@ -28,11 +28,7 @@ let next rt (w : worker) =
   | None -> (
       match steal_main rt w with
       | Some u ->
-          Metrics.incr_steals rt.metrics w.rank;
-          if rt.recorder.Recorder.on then
-            Recorder.emit rt.recorder w.rank
-              (Oskern.Kernel.now rt.kernel)
-              Recorder.ev_steal u.uid u.home;
+          if rt.observed then emit rt w.rank Recorder.ev_steal u.uid u.home;
           Some u
       | None -> Dq.pop_back w.q_aux (* LIFO *))
 

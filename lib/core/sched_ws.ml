@@ -70,12 +70,7 @@ let next rt (w : worker) =
   | None ->
       let stolen = steal rt w in
       (match stolen with
-      | Some u ->
-          Metrics.incr_steals rt.metrics w.rank;
-          if rt.recorder.Recorder.on then
-            Recorder.emit rt.recorder w.rank
-              (Oskern.Kernel.now rt.kernel)
-              Recorder.ev_steal u.uid u.home
+      | Some u -> if rt.observed then emit rt w.rank Recorder.ev_steal u.uid u.home
       | None -> ());
       stolen
 

@@ -1,5 +1,6 @@
-(* Shared mutable records of the M:N runtime.  Internal to
-   [preempt_core]; the public faces are [Runtime], [Ult] and [Usync]. *)
+(* Shared mutable records of the M:N runtime, and its instrumentation
+   [emit].  Internal to [preempt_core]; the public faces are [Runtime],
+   [Ult] and [Usync]. *)
 
 open Oskern
 
@@ -37,11 +38,6 @@ type ult = {
   mutable join_waiters : (unit -> unit) list;
   mutable preemptions : int;
   mutable ult_cpu_since_move : float;  (* cache hotness on the current worker *)
-  mutable ready_at : float;
-      (* when the thread last became ready (Metrics sched-delay
-         histogram); NaN when unknown, e.g. metrics were enabled
-         mid-run *)
-  mutable run_started : float;  (* when the current run slice started *)
 }
 
 and worker = {
@@ -110,7 +106,22 @@ and rt = {
   mutable klt_switches : int;
   metrics : Metrics.t;  (* per-worker counters + latency histograms *)
   recorder : Recorder.t;  (* flight recorder: per-worker event rings *)
+  mutable observed : bool;  (* recorder or metrics on: the guard of every [emit] *)
 }
+
+(* The one instrumentation stream: each runtime event is one [emit],
+   behind one [if rt.observed] at its site, so a run with the recorder
+   and metrics both off pays one boolean load.  [emit] reads the clock
+   once, writes the event to ring [ring] of the flight recorder and
+   folds it into Metrics, each when that one is on.  Worker rings are
+   indexed by rank; [global_ring] takes events that can fire outside
+   any worker context. *)
+let emit rt ring code a b =
+  let ts = Oskern.Kernel.now rt.kernel in
+  Recorder.emit rt.recorder ring ts code a b;
+  Metrics.fold rt.metrics ~posted:rt.preempt_post_time ring ts code a b
+
+let global_ring rt = Recorder.global_ring rt.recorder
 
 let sig_timer = 34 (* leader timer signal (SIGRTMIN) *)
 

@@ -7,8 +7,8 @@ open Types
    need that very worker to run — so every algorithm bounds its spin
    with cooperative yields and then parks on [Ult.suspend], exactly the
    state the checker's deadlock watchdog and lost-wakeup accounting
-   observe.  Parks and wakes bump the runtime's sync metrics (like
-   [Usync]) so the [no_lost_wakeups] oracle stays balanced.
+   observe.  Parks and wakes go through [Usync.park] / [Usync.wake],
+   whose sync events keep the [no_lost_wakeups] oracle balanced.
 
    Each lock has a seeded broken variant for the checker's regression
    scenarios:
@@ -27,23 +27,6 @@ open Types
    ported algorithm has a real preemptible gap. *)
 
 let spins_before_park = 2
-
-let obs rt code (u : ult) =
-  if rt.recorder.Recorder.on then
-    Recorder.emit rt.recorder
-      (Recorder.global_ring rt.recorder)
-      (Oskern.Kernel.now rt.kernel) code u.uid 0
-
-let park rt register =
-  Ult.suspend (fun self ->
-      Metrics.incr_sync_blocks rt.metrics;
-      obs rt Recorder.ev_sync_block self;
-      register self)
-
-let wake rt (u : ult) =
-  Metrics.incr_sync_wakeups rt.metrics;
-  obs rt Recorder.ev_sync_wake u;
-  Runtime.ready rt u
 
 module Ticket = struct
   type t = {
@@ -73,7 +56,7 @@ module Ticket = struct
         else begin
           (* The serving check and the park are one atomic step, so an
              unlock cannot slip between them — no lost-wakeup window. *)
-          park t.rt (fun self -> t.parked <- (my, self) :: t.parked);
+          Usync.park t.rt (fun self -> t.parked <- (my, self) :: t.parked);
           wait 1 (* woken: re-check, spurious-wake safe *)
         end
     in
@@ -90,14 +73,14 @@ module Ticket = struct
       | (tk, u) :: rest ->
           t.parked <- rest;
           t.serving <- tk;
-          wake t.rt u
+          Usync.wake t.rt u
       | [] -> t.serving <- t.serving + 1
     else begin
       t.serving <- t.serving + 1;
       match List.assoc_opt t.serving t.parked with
       | Some u ->
           t.parked <- List.remove_assoc t.serving t.parked;
-          wake t.rt u
+          Usync.wake t.rt u
       | None -> () (* next holder is still spinning, it will see serving *)
     end
 
@@ -178,7 +161,7 @@ module Mcs = struct
               wait (spins - 1)
             end
             else begin
-              park t.rt (fun self -> me.nparked <- Some self);
+              Usync.park t.rt (fun self -> me.nparked <- Some self);
               wait 1
             end
         in
@@ -191,7 +174,7 @@ module Mcs = struct
     match n.nparked with
     | Some u ->
         n.nparked <- None;
-        wake t.rt u
+        Usync.wake t.rt u
     | None -> () (* successor still spinning, it will see granted *)
 
   let unlock t =

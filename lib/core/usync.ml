@@ -1,30 +1,24 @@
 open Types
 
-(* Every primitive here reports to the metrics layer (when enabled):
-   a thread that blocks bumps [sync_blocks], a thread that is readied
-   by a release/handoff/broadcast bumps [sync_wakeups].  Lost-wakeup
-   bugs show up as blocks > wakeups + threads-still-blocked.  The same
-   sites feed the flight recorder (sync-block / sync-wake events on the
-   global ring), so a decoded flight record shows who was parked on a
-   primitive and who released them. *)
+(* Every primitive here blocks through [park] and readies through
+   [wake], which emit a sync-block / sync-wake event on the global ring.
+   Metrics folds them into [sync_blocks] / [sync_wakeups], so lost-wakeup
+   bugs show up as blocks > wakeups + threads-still-blocked, and a
+   decoded flight record shows who was parked on a primitive and who
+   released them. *)
 
-let obs rt code (u : ult) =
-  if rt.recorder.Recorder.on then
-    Recorder.emit rt.recorder
-      (Recorder.global_ring rt.recorder)
-      (Oskern.Kernel.now rt.kernel) code u.uid 0
+let park rt register =
+  Ult.suspend (fun self ->
+      if rt.observed then emit rt (global_ring rt) Recorder.ev_sync_block self.uid 0;
+      register self)
+
+let wake rt (u : ult) =
+  if rt.observed then emit rt (global_ring rt) Recorder.ev_sync_wake u.uid 0;
+  Runtime.ready rt u
 
 let join rt (u : ult) =
   if u.ustate <> U_finished then
-    Ult.suspend (fun self ->
-        Metrics.incr_sync_blocks rt.metrics;
-        obs rt Recorder.ev_sync_block self;
-        u.join_waiters <-
-          (fun () ->
-            Metrics.incr_sync_wakeups rt.metrics;
-            obs rt Recorder.ev_sync_wake self;
-            Runtime.ready rt self)
-          :: u.join_waiters)
+    park rt (fun self -> u.join_waiters <- (fun () -> wake rt self) :: u.join_waiters)
 
 module Mutex = struct
   type t = { rt : Runtime.t; mutable held : bool; waiters : ult Queue.t }
@@ -34,10 +28,7 @@ module Mutex = struct
   let lock m =
     if not m.held then m.held <- true
     else
-      Ult.suspend (fun self ->
-          Metrics.incr_sync_blocks m.rt.metrics;
-          obs m.rt Recorder.ev_sync_block self;
-          Queue.add self m.waiters)
+      park m.rt (fun self -> Queue.add self m.waiters)
 
   let try_lock m =
     if m.held then false
@@ -49,13 +40,8 @@ module Mutex = struct
   let unlock m =
     if not m.held then invalid_arg "Usync.Mutex.unlock: not locked";
     match Queue.take_opt m.waiters with
-    | Some next ->
-        Metrics.incr_sync_wakeups m.rt.metrics;
-        obs m.rt Recorder.ev_sync_wake next;
-        Runtime.ready m.rt next (* ownership handed over *)
+    | Some next -> wake m.rt next (* ownership handed over *)
     | None -> m.held <- false
-
-  let locked m = m.held
 end
 
 module Barrier = struct
@@ -76,18 +62,10 @@ module Barrier = struct
       let blocked = b.blocked in
       b.blocked <- [];
       b.arrived <- 0;
-      List.iter
-        (fun u ->
-          Metrics.incr_sync_wakeups b.rt.metrics;
-          obs b.rt Recorder.ev_sync_wake u;
-          Runtime.ready b.rt u)
-        (List.rev blocked)
+      List.iter (wake b.rt) (List.rev blocked)
     end
     else
-      Ult.suspend (fun self ->
-          Metrics.incr_sync_blocks b.rt.metrics;
-          obs b.rt Recorder.ev_sync_block self;
-          b.blocked <- self :: b.blocked)
+      park b.rt (fun self -> b.blocked <- self :: b.blocked)
 end
 
 module Ivar = struct
@@ -102,21 +80,13 @@ module Ivar = struct
         t.value <- Some v;
         let readers = t.readers in
         t.readers <- [];
-        List.iter
-          (fun u ->
-            Metrics.incr_sync_wakeups t.rt.metrics;
-            obs t.rt Recorder.ev_sync_wake u;
-            Runtime.ready t.rt u)
-          (List.rev readers)
+        List.iter (wake t.rt) (List.rev readers)
 
   let rec read t =
     match t.value with
     | Some v -> v
     | None ->
-        Ult.suspend (fun self ->
-            Metrics.incr_sync_blocks t.rt.metrics;
-            obs t.rt Recorder.ev_sync_block self;
-            t.readers <- self :: t.readers);
+        park t.rt (fun self -> t.readers <- self :: t.readers);
         read t
 
   let peek t = t.value
@@ -133,19 +103,13 @@ module Channel = struct
     | [] -> ()
     | u :: rest ->
         t.readers <- rest;
-        Metrics.incr_sync_wakeups t.rt.metrics;
-        obs t.rt Recorder.ev_sync_wake u;
-        Runtime.ready t.rt u
+        wake t.rt u
 
   let rec recv t =
     match Queue.take_opt t.items with
     | Some v -> v
     | None ->
-        Ult.suspend (fun self ->
-            Metrics.incr_sync_blocks t.rt.metrics;
-            obs t.rt Recorder.ev_sync_block self;
-            t.readers <- t.readers @ [ self ])
-        ;
+        park t.rt (fun self -> t.readers <- t.readers @ [ self ]);
         recv t
 
   let length t = Queue.length t.items

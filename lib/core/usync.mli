@@ -6,6 +6,16 @@
     the kind that deadlock nonpreemptive runtimes — live with the MKL
     model in the [linalg] library. *)
 
+(** [park rt register] blocks the calling thread, handing it to
+    [register] (which stores it where a waker will find it), and emits
+    a sync-block event.  The blocking step of every primitive here and
+    in {!Ulock}. *)
+val park : Runtime.t -> (Ult.t -> unit) -> unit
+
+(** [wake rt u] readies [u], parked by {!park}, and emits a sync-wake
+    event. *)
+val wake : Runtime.t -> Ult.t -> unit
+
 (** [join rt u] blocks the calling thread until [u] finishes. *)
 val join : Runtime.t -> Ult.t -> unit
 
@@ -20,8 +30,6 @@ module Mutex : sig
   val unlock : t -> unit
 
   val try_lock : t -> bool
-
-  val locked : t -> bool
 end
 
 module Barrier : sig

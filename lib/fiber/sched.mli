@@ -47,6 +47,9 @@ val subpools : pool -> string list
     sub-pool), with the calling thread participating as a worker, and
     returns its result as soon as [main] finishes.  Re-raises any
     exception [main] threw.  Not reentrant from inside a fiber.
+    [main] is queued before the calling thread starts serving as worker
+    0, so another member of that sub-pool, or of a sub-pool with
+    [overflow] on, can take it and run it instead.
 
     Queued work outlives [run]: fibers that [main] spawned and never
     awaited stay queued when it returns.  Workers 1 … n−1 keep running

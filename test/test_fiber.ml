@@ -109,13 +109,16 @@ let test_quantum_is_kept () =
 let test_live_telemetry () =
   (* Worker 0 runs a main fiber that never reaches a safe point; the
      greedy fibers on worker 1 take every expiry.  Each worker counts
-     its own preemptions, and their sum is the pool's count. *)
+     its own preemptions, and their sum is the pool's count.  Without
+     overflow neither worker can take the other's fibers: worker 1
+     could otherwise steal [main] before worker 0 starts, leaving the
+     spinners to worker 0. *)
   let cfg =
     Fiber.Config.make ~domains:2 ~preempt_interval:0.001
       ~subpools:
         [
-          Fiber.Config.subpool ~name:"main" ~workers:[ 0 ] ();
-          Fiber.Config.subpool ~name:"spin" ~workers:[ 1 ] ();
+          Fiber.Config.subpool ~overflow:false ~name:"main" ~workers:[ 0 ] ();
+          Fiber.Config.subpool ~overflow:false ~name:"spin" ~workers:[ 1 ] ();
         ]
       ()
   in

@@ -160,7 +160,9 @@ let test_quantile_after_merge () =
 (* ------------------------------------------------------------------ *)
 (* Runtime integration. *)
 
-let run_workload ?(enable = true) ?(seed = 42) () =
+(* [recorder], when given, also turns the flight recorder on with that
+   ring capacity. *)
+let run_workload ?(enable = true) ?(seed = 42) ?recorder () =
   let eng = Engine.create ~seed () in
   let kernel = Kernel.create eng (Machine.with_cores Machine.skylake 2) in
   let config =
@@ -169,6 +171,9 @@ let run_workload ?(enable = true) ?(seed = 42) () =
       Config.timer_strategy = Config.Per_worker_aligned;
       interval = 1e-3;
       metrics_enabled = enable;
+      recorder_enabled = Option.is_some recorder;
+      recorder_capacity =
+        Option.value recorder ~default:Config.default.Config.recorder_capacity;
     }
   in
   let rt = Runtime.create ~config kernel ~n_workers:2 in
@@ -280,6 +285,15 @@ let test_enable_midway () =
   let s = Runtime.metrics rt in
   Alcotest.(check bool) "recorded after enabling" true
     (s.Metrics.s_totals.Metrics.preempts > 0);
+  (* Run slices last about one 1 ms interval.  A slice that started
+     before the enable has no start time, so it takes no sample; a
+     stale start would read as one several intervals long. *)
+  Alcotest.(check bool) "run quanta recorded" true (H.count s.Metrics.s_run_quantum > 0);
+  Array.iter
+    (fun (lo, hi, c) ->
+      if hi > 2.0 *. config.Config.interval then
+        Alcotest.failf "%d run-quantum samples in [%g, %g) s, past 2 intervals" c lo hi)
+    (H.nonzero s.Metrics.s_run_quantum);
   (* No sched-delay sample can exceed the elapsed virtual time (a stale
      pre-enable timestamp would). *)
   Array.iter
@@ -308,6 +322,141 @@ let test_usync_counters () =
   Alcotest.(check int) "three blocked" 3 s.Metrics.s_sync_blocks;
   Alcotest.(check int) "three handoffs" 3 s.Metrics.s_sync_wakeups
 
+(* The recorder's rings do not feed Metrics: metrics alone, metrics
+   beside rings small enough to wrap, and metrics beside default rings
+   give equal snapshots. *)
+let test_counters_independent_of_rings () =
+  let _, alone, _ = run_workload ~seed:7 () in
+  let rt, small, _ = run_workload ~seed:7 ~recorder:8 () in
+  Alcotest.(check bool) "small rings wrapped" true
+    (Recorder.total_overwritten (Runtime.recorder rt) > 0);
+  let _, full, _ =
+    run_workload ~seed:7 ~recorder:Config.default.Config.recorder_capacity ()
+  in
+  Alcotest.(check bool) "capacity 8 = metrics alone" true (small = alone);
+  Alcotest.(check bool) "default capacity = metrics alone" true (full = alone)
+
+(* ------------------------------------------------------------------ *)
+(* Pinned bits: seeded runs with metrics on from the start, each
+   snapshot written as per-worker counters, sync counts, and per
+   histogram its count, the [%h] bits of its sum and its nonzero
+   buckets (index:count).  test/metrics_bits.txt holds the expected
+   lines. *)
+
+let snapshot_bits name (s : Metrics.snapshot) =
+  let b = Buffer.create 1024 in
+  Array.iteri
+    (fun r (c : Metrics.wcounters) ->
+      Printf.bprintf b "%s worker%d %d %d %d %d %d %d %d %d\n" name r c.Metrics.preempts
+        c.Metrics.signal_yields c.Metrics.klt_switches c.Metrics.pool_gets
+        c.Metrics.pool_puts c.Metrics.steals c.Metrics.timer_fires c.Metrics.io_restarts)
+    s.Metrics.s_workers;
+  Printf.bprintf b "%s sync %d %d\n" name s.Metrics.s_sync_blocks s.Metrics.s_sync_wakeups;
+  List.iter
+    (fun (hname, h) ->
+      Printf.bprintf b "%s %s %d %h" name hname (H.count h) (H.sum h);
+      for i = 0 to H.n_buckets - 1 do
+        if H.bucket_count h i > 0 then Printf.bprintf b " %d:%d" i (H.bucket_count h i)
+      done;
+      Buffer.add_char b '\n')
+    [
+      ("sig_to_switch", s.Metrics.s_sig_to_switch);
+      ("sched_delay", s.Metrics.s_sched_delay);
+      ("run_quantum", s.Metrics.s_run_quantum);
+    ];
+  Buffer.contents b
+
+(* Signal-yield threads under the priority scheduler, with the chain
+   timer forwarding signals: preemptions, yields, steals. *)
+let signal_yield_workload () =
+  let eng = Engine.create ~seed:11 () in
+  let kernel = Kernel.create eng (Machine.with_cores Machine.skylake 3) in
+  let config =
+    {
+      Config.default with
+      Config.timer_strategy = Config.Per_process_chain;
+      interval = 5e-4;
+      metrics_enabled = true;
+    }
+  in
+  let rt = Runtime.create ~config ~scheduler:(Sched_priority.make ()) kernel ~n_workers:3 in
+  for i = 0 to 6 do
+    ignore
+      (Runtime.spawn rt ~kind:Types.Signal_yield ~priority:(i mod 2) ~home:0
+         ~name:(Printf.sprintf "s%d" i)
+         (fun () ->
+           Ult.compute (1e-3 *. float_of_int (1 + (i mod 3)));
+           Ult.yield ();
+           Ult.compute 1.5e-3))
+  done;
+  Runtime.start rt;
+  Engine.run ~until:10.0 eng;
+  Runtime.metrics rt
+
+(* Usync and Ulock primitives between preemptive threads. *)
+let usync_workload () =
+  let eng = Engine.create ~seed:5 () in
+  let kernel = Kernel.create eng (Machine.with_cores Machine.skylake 2) in
+  let config =
+    {
+      Config.default with
+      Config.timer_strategy = Config.Per_worker_aligned;
+      interval = 1e-3;
+      metrics_enabled = true;
+    }
+  in
+  let rt = Runtime.create ~config kernel ~n_workers:2 in
+  let m = Usync.Mutex.create rt in
+  let bar = Usync.Barrier.create rt 4 in
+  let ch = Usync.Channel.create rt in
+  let iv = Usync.Ivar.create rt in
+  let tk = Ulock.Ticket.create rt in
+  let mcs = Ulock.Mcs.create rt in
+  let workers =
+    List.init 4 (fun i ->
+        Runtime.spawn rt ~kind:Types.Klt_switching ~home:(i mod 2)
+          ~name:(Printf.sprintf "u%d" i)
+          (fun () ->
+            Usync.Mutex.lock m;
+            Ult.compute 1.2e-3;
+            Usync.Mutex.unlock m;
+            Usync.Barrier.wait bar;
+            Ulock.Ticket.lock tk;
+            Ult.compute 4e-4;
+            Ulock.Ticket.unlock tk;
+            Ulock.Mcs.lock mcs;
+            Ult.compute 3e-4;
+            Ulock.Mcs.unlock mcs;
+            Usync.Channel.send ch i;
+            ignore (Usync.Ivar.read iv)))
+  in
+  ignore
+    (Runtime.spawn rt ~kind:Types.Signal_yield ~name:"collector" (fun () ->
+         for _ = 1 to 4 do
+           ignore (Usync.Channel.recv ch)
+         done;
+         Usync.Ivar.fill iv ();
+         List.iter (Usync.join rt) workers));
+  Runtime.start rt;
+  Engine.run ~until:10.0 eng;
+  Runtime.metrics rt
+
+let pinned_bits () =
+  let _, klt, _ = run_workload ~seed:7 () in
+  snapshot_bits "klt-switch" klt
+  ^ snapshot_bits "signal-yield" (signal_yield_workload ())
+  ^ snapshot_bits "usync" (usync_workload ())
+
+let test_pinned_bits () =
+  let got = pinned_bits () in
+  let ic = open_in_bin "metrics_bits.txt" in
+  let want = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  if got <> want then begin
+    print_string got;
+    Alcotest.fail "Metrics bits differ from test/metrics_bits.txt (this run's printed above)"
+  end
+
 let suite =
   [
     Alcotest.test_case "bucket edges exact" `Quick test_bucket_boundaries;
@@ -321,4 +470,7 @@ let suite =
     Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
     Alcotest.test_case "enable mid-run" `Quick test_enable_midway;
     Alcotest.test_case "usync block/wakeup counters" `Quick test_usync_counters;
+    Alcotest.test_case "counters independent of rings" `Quick
+      test_counters_independent_of_rings;
+    Alcotest.test_case "pinned bits" `Quick test_pinned_bits;
   ]

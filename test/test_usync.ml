@@ -43,7 +43,7 @@ let test_mutex_trylock_under_contention () =
          attempts := Usync.Mutex.try_lock m :: !attempts;
          Ult.compute 6e-3;
          attempts := Usync.Mutex.try_lock m :: !attempts;
-         if Usync.Mutex.locked m then Usync.Mutex.unlock m));
+         if List.hd !attempts then Usync.Mutex.unlock m));
   Runtime.start rt;
   Engine.run eng;
   Alcotest.(check (list bool)) "fail then succeed" [ true; false ] !attempts
