@@ -19,9 +19,6 @@
 (** Raised by oracles to report an invariant violation. *)
 exception Violation of string
 
-val violate : ('a, unit, string, 'b) format4 -> 'a
-(** [violate fmt ...] raises {!Violation} with a formatted message. *)
-
 val require : bool -> ('a, unit, string, unit) format4 -> 'a
 (** [require ok fmt ...] raises {!Violation} unless [ok]. *)
 
@@ -51,21 +48,17 @@ val program :
 
 (** {1 Oracles} *)
 
-(** Mutual-exclusion monitor: {!Excl.enter} raises {!Violation} as soon
-    as two threads are inside the same critical section. *)
+(** Mutual-exclusion monitor: {!Excl.critical} raises {!Violation} as
+    soon as two threads are inside the same critical section. *)
 module Excl : sig
   type t
 
   val create : string -> t
 
-  val enter : t -> unit
-
-  val leave : t -> unit
-
   (** [critical t f] runs [f] inside the monitor (exception-safe). *)
   val critical : t -> (unit -> 'a) -> 'a
 
-  (** Total number of completed {!enter} calls. *)
+  (** Total number of entries into the critical section. *)
   val entries : t -> int
 end
 
@@ -117,11 +110,6 @@ type strategy =
   | Replay of Trail.t  (** replay a recorded trail; beyond it, defaults *)
 
 val strategy_name : strategy -> string
-
-(** [schedule_seed seed i] is the chooser seed of schedule [i] in a run
-    started from [seed]; [schedule_seed seed 0 = seed], so a failing
-    schedule replays as [run ~seed:(schedule_seed seed i) ~budget:1]. *)
-val schedule_seed : int -> int -> int
 
 (** {1 Running} *)
 

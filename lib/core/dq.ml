@@ -8,12 +8,6 @@ let create () = { front = []; back = []; size = 0 }
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
-let push_front t x =
-  t.front <- x :: t.front;
-  t.size <- t.size + 1
-
 let push_back t x =
   t.back <- x :: t.back;
   t.size <- t.size + 1
@@ -47,28 +41,3 @@ let pop_back t =
           t.back <- rest;
           t.size <- t.size - 1;
           Some x)
-
-let to_list t = t.front @ List.rev t.back
-
-let remove t p =
-  let rec split acc = function
-    | [] -> None
-    | x :: rest -> if p x then Some (x, List.rev_append acc rest) else split (x :: acc) rest
-  in
-  match split [] t.front with
-  | Some (x, rest) ->
-      t.front <- rest;
-      t.size <- t.size - 1;
-      Some x
-  | None -> (
-      match split [] (List.rev t.back) with
-      | Some (x, rest) ->
-          t.back <- List.rev rest;
-          t.size <- t.size - 1;
-          Some x
-      | None -> None)
-
-let clear t =
-  t.front <- [];
-  t.back <- [];
-  t.size <- 0

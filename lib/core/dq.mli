@@ -10,19 +10,8 @@ val create : unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
-val push_front : 'a t -> 'a -> unit
-
 val push_back : 'a t -> 'a -> unit
 
 val pop_front : 'a t -> 'a option
 
 val pop_back : 'a t -> 'a option
-
-(** [remove t p] removes the first element satisfying [p]; returns it. *)
-val remove : 'a t -> ('a -> bool) -> 'a option
-
-val to_list : 'a t -> 'a list
-
-val clear : 'a t -> unit

@@ -73,28 +73,11 @@ module Hist = struct
     done;
     Array.of_list !rows
 
-  (* Representative value of a bucket: geometric midpoint for core
-     buckets, the finite edge for the open-ended ones. *)
-  let representative b =
-    if b = 0 then bounds.(0)
-    else if b = n_buckets - 1 then bounds.(n_core)
-    else sqrt (bounds.(b - 1) *. bounds.(b))
-
-  let percentile t p =
-    if t.n = 0 then invalid_arg "Metrics.Hist.percentile: empty histogram";
-    if p < 0.0 || p > 100.0 then invalid_arg "Metrics.Hist.percentile: p outside [0,100]";
-    let target = Stdlib.max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int t.n))) in
-    let rec go b acc =
-      let acc = acc + t.counts.(b) in
-      if acc >= target then representative b else go (b + 1) acc
-    in
-    go 0 0
-
-  (* [quantile] refines [percentile] by interpolating inside the target
-     bucket: the quantile rank's fractional position among the bucket's
-     samples picks a point between the bucket edges on a log scale
-     (matching the buckets' geometric spacing).  The open-ended buckets
-     have no second edge, so they fall back to [representative]. *)
+  (* [quantile] interpolates inside the target bucket: the quantile
+     rank's fractional position among the bucket's samples picks a point
+     between the bucket edges on a log scale (matching the buckets'
+     geometric spacing).  The open-ended buckets have no second edge, so
+     they give their finite one. *)
   let quantile t p =
     if t.n = 0 then invalid_arg "Metrics.Hist.quantile: empty histogram";
     if p < 0.0 || p > 100.0 then invalid_arg "Metrics.Hist.quantile: p outside [0,100]";
@@ -103,7 +86,8 @@ module Hist = struct
       let here = t.counts.(b) in
       let acc' = float_of_int (acc + here) in
       if acc' >= target && here > 0 then
-        if b = 0 || b = n_buckets - 1 then representative b
+        if b = 0 then bounds.(0)
+        else if b = n_buckets - 1 then bounds.(n_core)
         else begin
           let lo, hi = bucket_bounds b in
           let frac = (target -. float_of_int acc) /. float_of_int here in

@@ -61,22 +61,14 @@ module Hist : sig
   (** Non-empty buckets as [(lo, hi, count)] rows, index-ascending. *)
   val nonzero : t -> (float * float * int) array
 
-  (** [percentile t p] with [p] in [\[0, 100\]]: the representative
-      value (geometric bucket midpoint; the finite edge for the
-      underflow/overflow buckets) of the bucket containing the [p]-th
-      percentile sample.  @raise Invalid_argument on an empty histogram
-      or [p] outside [\[0, 100\]]. *)
-  val percentile : t -> float -> float
-
-  (** [quantile t p] refines {!percentile} by interpolating inside the
-      target bucket: the quantile rank's fractional position among the
-      bucket's samples picks a point between the bucket edges on a log
-      scale (matching the geometric bucket spacing), so estimates move
-      smoothly with [p] instead of jumping per bucket.  Agrees with
-      {!percentile} to within one bucket width by construction.  The
-      open-ended underflow/overflow buckets fall back to the
-      representative edge value.  @raise Invalid_argument under the same
-      conditions as {!percentile}. *)
+  (** [quantile t p] with [p] in [\[0, 100\]]: the [p]-th percentile,
+      interpolated inside the bucket that holds its rank.  The rank's
+      fractional position among the bucket's samples picks a point
+      between the bucket edges on a log scale (matching the geometric
+      bucket spacing), so estimates move smoothly with [p] instead of
+      jumping per bucket.  The open-ended underflow/overflow buckets
+      give their finite edge.  @raise Invalid_argument on an empty
+      histogram or [p] outside [\[0, 100\]]. *)
   val quantile : t -> float -> float
 
   (** [merge a b] — a fresh histogram whose every bucket holds

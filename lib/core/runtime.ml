@@ -785,39 +785,6 @@ let set_preemption_interval rt interval =
 
 let preemption_interval rt = rt.cur_interval
 
-let stats_summary rt =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "runtime: %d workers (%d active), %d unfinished threads\n\
-        preemption: %d signals honored, %d KLT switches, %d KLTs created\n"
-       (Array.length rt.workers) rt.n_active rt.unfinished rt.preempt_signals
-       rt.klt_switches rt.klts_created);
-  (match Stats.count rt.interrupt_stats with
-  | 0 -> ()
-  | n ->
-      Buffer.add_string buf
-        (Printf.sprintf "timer interruptions: %d, mean %.2f us\n" n
-           (Stats.mean rt.interrupt_stats *. 1e6)));
-  (match Stats.count rt.preempt_latency_stats with
-  | 0 -> ()
-  | n ->
-      Buffer.add_string buf
-        (Printf.sprintf "preemption latency: %d samples, median %.2f us\n" n
-           (Stats.median rt.preempt_latency_stats *. 1e6)));
-  Buffer.add_string buf
-    (Printf.sprintf "global KLT pool: %d parked\n" (Queue.length rt.global_klts));
-  Array.iter
-    (fun w ->
-      Buffer.add_string buf
-        (Printf.sprintf "  worker%-3d preempts=%-6d idle=%.4fs local-pool=%d%s\n" w.rank
-           w.preempts_taken rt.idle_time.(w.rank) (Queue.length w.local_klts)
-           (if w.active then "" else " (suspended)")))
-    rt.workers;
-  if Metrics.enabled rt.metrics then
-    Buffer.add_string buf (Metrics.summary (Metrics.snapshot rt.metrics));
-  Buffer.contents buf
-
 let set_active_workers rt n =
   let n = Stdlib.max 1 (Stdlib.min n (Array.length rt.workers)) in
   rt.n_active <- n;

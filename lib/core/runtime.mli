@@ -100,11 +100,6 @@ val klts_created : t -> int
 (** Seconds worker [rank] spent spinning without work. *)
 val worker_idle_time : t -> int -> float
 
-(** Multi-line human-readable summary: per-worker preemptions and idle
-    time, KLT-switch counts, pool sizes, timer statistics — plus the
-    {!Metrics} summary when metrics are enabled. *)
-val stats_summary : t -> string
-
 (** {1 Metrics (see [docs/observability.md])} *)
 
 (** Immutable snapshot of the runtime's {!Metrics}: per-worker event

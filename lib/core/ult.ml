@@ -22,10 +22,6 @@ let suspend register = Effect.perform (Suspend register)
 
 let name (u : t) = u.Types.uname
 
-let kind (u : t) = u.Types.kind
-
-let priority (u : t) = u.Types.priority
-
 let finished (u : t) = u.Types.ustate = Types.U_finished
 
 let blocked (u : t) = u.Types.ustate = Types.U_blocked

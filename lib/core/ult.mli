@@ -35,10 +35,6 @@ val suspend : (Types.ult -> unit) -> unit
 
 val name : t -> string
 
-val kind : t -> Types.thread_kind
-
-val priority : t -> int
-
 val finished : t -> bool
 
 (** True while the thread is suspended on user-level synchronization

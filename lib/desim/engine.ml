@@ -99,19 +99,12 @@ let after ?footprint t dt f =
    allocation beyond the closure itself.  This is the fast path for the
    engine's own process machinery and for kernel events that are never
    cancelled (wakeups, spawn bodies, resumptions). *)
-let post ?(footprint = "") t time f =
-  check_future t time;
-  Heap.push t.heap (Float.max time t.clock) f;
-  note t footprint
-
 let post_after ?(footprint = "") t dt f =
   if dt < 0.0 then invalid_arg "Engine.post_after: negative delay";
   Heap.push t.heap (t.clock +. dt) f;
   note t footprint
 
 let cancel ev = Heap.cancel ev
-
-let pending ev = Heap.pending ev
 
 let set_quiescence_check t f = t.quiescence <- f
 
@@ -163,8 +156,6 @@ let block register = Effect.perform (Block register)
 let self_engine () = fst (Effect.perform Self)
 
 let self_name () = snd (Effect.perform Self)
-
-let timestamp () = now (self_engine ())
 
 let set_footprint fp = Effect.perform (SetFp fp)
 

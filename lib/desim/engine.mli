@@ -57,20 +57,14 @@ val after : ?footprint:string -> t -> float -> (unit -> unit) -> event
 (** [at t time f] schedules [f] at absolute [time >= now]. *)
 val at : ?footprint:string -> t -> float -> (unit -> unit) -> event
 
-(** [post t time f] schedules [f] at absolute [time >= now] with no
-    cancellation handle — the zero-allocation fast path for events that
-    are never cancelled (wakeups, resumptions, spawns). *)
-val post : ?footprint:string -> t -> float -> (unit -> unit) -> unit
-
-(** [post_after t dt f] is [post] at [dt >= 0] seconds from now. *)
+(** [post_after t dt f] schedules [f] at [dt >= 0] seconds from now with
+    no cancellation handle — the zero-allocation fast path for events
+    that are never cancelled (wakeups, resumptions, spawns). *)
 val post_after : ?footprint:string -> t -> float -> (unit -> unit) -> unit
 
 (** [cancel ev] prevents a pending event from firing.  Returns [false]
     if it already fired or was cancelled. *)
 val cancel : event -> bool
-
-(** True while the event has neither fired nor been cancelled. *)
-val pending : event -> bool
 
 (** [spawn t name f] creates a process running [f ()].  It starts at the
     current time, after already-queued events.  An exception escaping
@@ -143,9 +137,6 @@ val self_engine : unit -> t
 
 (** Name of the current process. *)
 val self_name : unit -> string
-
-(** Current virtual time, from process context. *)
-val timestamp : unit -> float
 
 (** [set_footprint fp] relabels the current process: its subsequent
     resumption events (delay expiries, block wakeups) carry footprint

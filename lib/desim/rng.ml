@@ -27,12 +27,6 @@ let float t =
 
 let range t lo hi = lo +. ((hi -. lo) *. float t)
 
-let exponential t ~mean =
-  let u = float t in
-  (* Guard against log 0. *)
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

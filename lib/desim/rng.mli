@@ -25,8 +25,5 @@ val float : t -> float
 (** [range t lo hi] returns a uniform float in [\[lo, hi)]. *)
 val range : t -> float -> float -> float
 
-(** [exponential t ~mean] draws from an exponential distribution. *)
-val exponential : t -> mean:float -> float
-
 (** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit

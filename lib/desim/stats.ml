@@ -26,8 +26,6 @@ let add t x =
 
 let count t = t.size
 
-let sum t = t.total
-
 let mean t = if t.size = 0 then 0.0 else t.total /. float_of_int t.size
 
 let stddev t =
@@ -38,10 +36,6 @@ let stddev t =
     let var = (t.sq_total -. (n *. m *. m)) /. (n -. 1.0) in
     if var < 0.0 then 0.0 else sqrt var
   end
-
-let min t = t.lo
-
-let max t = t.hi
 
 let samples t = Array.sub t.data 0 t.size
 
@@ -55,29 +49,12 @@ let percentile t p =
   else begin
     let rank = p /. 100.0 *. float_of_int (n - 1) in
     let lo = int_of_float (Float.floor rank) in
-    let hi = Stdlib.min (lo + 1) (n - 1) in
+    let hi = min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
 
 let median t = percentile t 50.0
-
-let histogram t ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
-  if t.size = 0 then [||]
-  else begin
-    let lo = t.lo and hi = t.hi in
-    let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-    let counts = Array.make bins 0 in
-    for i = 0 to t.size - 1 do
-      let b = int_of_float ((t.data.(i) -. lo) /. width) in
-      let b = if b >= bins then bins - 1 else if b < 0 then 0 else b in
-      counts.(b) <- counts.(b) + 1
-    done;
-    Array.mapi
-      (fun i c -> (lo +. (float_of_int i *. width), lo +. (float_of_int (i + 1) *. width), c))
-      counts
-  end
 
 let pp_summary ppf t =
   Format.fprintf ppf "n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g" t.size (mean t) (stddev t)

@@ -13,20 +13,10 @@ val mean : t -> float
 (** Sample standard deviation (n-1 denominator); 0 for fewer than 2 samples. *)
 val stddev : t -> float
 
-val min : t -> float
-
-val max : t -> float
-
-val sum : t -> float
-
 (** [percentile t p] with [p] in [\[0, 100\]], by linear interpolation on
     the sorted samples.  @raise Invalid_argument on an empty series. *)
 val percentile : t -> float -> float
 
 val median : t -> float
-
-(** [histogram t ~bins] returns [(lo, hi, count)] rows covering the data
-    range with [bins] equal-width buckets. *)
-val histogram : t -> bins:int -> (float * float * int) array
 
 val pp_summary : Format.formatter -> t -> unit

@@ -11,20 +11,11 @@ module Mutex = struct
       (* ownership passed directly by [unlock] *)
       Engine.block (fun resume -> Queue.add resume t.waiters)
 
-  let try_lock t =
-    if t.held then false
-    else begin
-      t.held <- true;
-      true
-    end
-
   let unlock t =
     if not t.held then invalid_arg "Sync.Mutex.unlock: not locked";
     match Queue.take_opt t.waiters with
     | Some resume -> resume ()
     | None -> t.held <- false
-
-  let locked t = t.held
 
   let waiters t = Queue.length t.waiters
 end

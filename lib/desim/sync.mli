@@ -16,10 +16,6 @@ module Mutex : sig
 
   val unlock : t -> unit
 
-  val try_lock : t -> bool
-
-  val locked : t -> bool
-
   (** Number of processes currently queued on the lock. *)
   val waiters : t -> int
 end

@@ -23,8 +23,4 @@ let records t = List.rev t.records
 
 let with_tag t tag = List.filter (fun r -> r.tag = tag) (records t)
 
-let clear t =
-  t.records <- [];
-  t.count <- 0
-
 let length t = t.count

@@ -23,6 +23,4 @@ val records : t -> record list
 (** Records whose tag equals the argument. *)
 val with_tag : t -> string -> record list
 
-val clear : t -> unit
-
 val length : t -> int

@@ -5,8 +5,6 @@ let heading title =
 
 let subheading title = Printf.printf "\n-- %s --\n" title
 
-let row_f fmt = Printf.printf fmt
-
 (* Render a series table: first column is the x value, one column per
    line of the figure. *)
 let table ~x_label ~columns ~rows ~cell =

@@ -9,9 +9,6 @@
     The same report renders a loaded binary dump ([--load]), minus the
     metrics cross-check.  See docs/observability.md. *)
 
-val interval : float
-(** Preemption interval of the demo workload (2 ms). *)
-
 val run_workload : unit -> Preempt_core.Runtime.t * int list
 (** Build and run the demo workload to completion; returns the runtime
     (recorder and metrics populated) and the spawned uids. *)

@@ -5,7 +5,7 @@
 
    Wakes always run *outside* the host lock (calling into the scheduler
    while holding it would invert the lock order with the pool's park
-   path), and always in FIFO registration order: Mutex/Semaphore/Channel
+   path), and always in FIFO registration order: Mutex and Channel
    keep their waiters in a [Queue], Barrier releases its accumulated
    list oldest-arrival-first.  test_fsync.ml pins the FIFO order.
 
@@ -42,13 +42,6 @@ module Mutex = struct
           end)
     done
 
-  let try_lock t =
-    Stdlib.Mutex.lock t.lock;
-    let got = not t.held in
-    if got then t.held <- true;
-    Stdlib.Mutex.unlock t.lock;
-    got
-
   let unlock t =
     Stdlib.Mutex.lock t.lock;
     if not t.held then begin
@@ -67,43 +60,6 @@ module Mutex = struct
   let with_lock t f =
     lock t;
     Fun.protect ~finally:(fun () -> unlock t) f
-end
-
-module Semaphore = struct
-  type t = {
-    lock : Stdlib.Mutex.t;
-    mutable count : int;
-    waiters : (unit -> unit) Queue.t;
-  }
-
-  let create n =
-    if n < 0 then invalid_arg "Fsync.Semaphore.create: negative";
-    { lock = Stdlib.Mutex.create (); count = n; waiters = Queue.create () }
-
-  let acquire t =
-    let acquired = ref false in
-    while not !acquired do
-      Sched.suspend_or (fun wake ->
-          Stdlib.Mutex.lock t.lock;
-          if t.count > 0 then begin
-            t.count <- t.count - 1;
-            acquired := true;
-            Stdlib.Mutex.unlock t.lock;
-            `Continue
-          end
-          else begin
-            Queue.add wake t.waiters;
-            Stdlib.Mutex.unlock t.lock;
-            `Suspended
-          end)
-    done
-
-  let release t =
-    Stdlib.Mutex.lock t.lock;
-    t.count <- t.count + 1;
-    let w = Queue.take_opt t.waiters in
-    Stdlib.Mutex.unlock t.lock;
-    match w with Some wake -> wake () | None -> ()
 end
 
 module Channel = struct
@@ -145,12 +101,6 @@ module Channel = struct
               `Continue
             end);
         recv t
-
-  let length t =
-    Stdlib.Mutex.lock t.lock;
-    let n = Queue.length t.items in
-    Stdlib.Mutex.unlock t.lock;
-    n
 end
 
 module Barrier = struct
@@ -158,7 +108,6 @@ module Barrier = struct
     lock : Stdlib.Mutex.t;
     parties : int;
     mutable arrived : int;
-    mutable generation : int;
     mutable waiters : (unit -> unit) list;
   }
 
@@ -168,7 +117,6 @@ module Barrier = struct
       lock = Stdlib.Mutex.create ();
       parties;
       arrived = 0;
-      generation = 0;
       waiters = [];
     }
 
@@ -180,7 +128,6 @@ module Barrier = struct
           t.arrived <- t.arrived + 1;
           if t.arrived = t.parties then begin
             t.arrived <- 0;
-            t.generation <- t.generation + 1;
             let ws = t.waiters in
             t.waiters <- [];
             passed := true;

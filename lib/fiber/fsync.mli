@@ -12,22 +12,10 @@ module Mutex : sig
   (** Blocks the calling fiber while held.  Not reentrant. *)
   val lock : t -> unit
 
-  val try_lock : t -> bool
-
   val unlock : t -> unit
 
   (** [with_lock t f] = lock; run [f]; unlock (also on exception). *)
   val with_lock : t -> (unit -> 'a) -> 'a
-end
-
-module Semaphore : sig
-  type t
-
-  val create : int -> t
-
-  val acquire : t -> unit
-
-  val release : t -> unit
 end
 
 module Channel : sig
@@ -43,8 +31,6 @@ module Channel : sig
   val recv : 'a t -> 'a
 
   val try_recv : 'a t -> 'a option
-
-  val length : 'a t -> int
 end
 
 module Barrier : sig

@@ -307,7 +307,8 @@ let handler pool sp =
                 in
                 match decide wake with
                 | `Continue -> continue k ()
-                | `Suspended -> ())
+                | `Suspended -> ()
+                | exception e -> discontinue k e)
         | _ -> None);
   }
 
@@ -675,9 +676,6 @@ let make (cfg : Config.t) =
 
 let domains pool = Array.length pool.workers
 
-let subpools pool =
-  Array.to_list (Array.map (fun sp -> sp.sp_name) pool.subpools)
-
 let recorder pool = pool.recorder
 
 (* True iff the current worker's quantum has ended: one clock read.
@@ -726,8 +724,6 @@ type subpool_stats = {
   st_pending : int;
   st_quanta : (int * float) list;
 }
-
-let adaptive pool = pool.quantum_bounds <> None
 
 type worker_stats = {
   ws_worker : int;

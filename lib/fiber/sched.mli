@@ -39,10 +39,6 @@ val make : Config.t -> pool
 (** Total worker count across all sub-pools. *)
 val domains : pool -> int
 
-(** Sub-pool names, in configuration order (the first is the default
-    target of {!submit}). *)
-val subpools : pool -> string list
-
 (** [run pool main] executes [main ()] as a fiber (in worker 0's
     sub-pool), with the calling thread participating as a worker, and
     returns its result as soon as [main] finishes.  Re-raises any
@@ -113,7 +109,9 @@ val yield : unit -> unit
     returns [`Suspended] it must have arranged for [wake] to be called
     exactly once later (from any fiber), which reschedules this fiber
     on its home sub-pool; if it returns [`Continue] the fiber proceeds
-    and [wake] must never be called. *)
+    and [wake] must never be called.  An exception from [decide] is
+    raised from [suspend_or] in the calling fiber; [wake] must then
+    never be called either. *)
 val suspend_or : ((unit -> unit) -> [ `Continue | `Suspended ]) -> unit
 
 (** Preemption safe point: yields iff the current worker's quantum has
@@ -213,10 +211,6 @@ type worker_stats = {
 
 (** One entry per worker, in worker-id order. *)
 val worker_stats : pool -> worker_stats list
-
-(** True iff the pool was built with [Config.adaptive] (per-worker
-    quanta driven by the {!Quantum} controller). *)
-val adaptive : pool -> bool
 
 (** The pool's flight recorder (armed via [Config.recorder]): every
     successful steal emits [Recorder.ev_pool_steal] with (thief

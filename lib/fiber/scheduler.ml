@@ -70,8 +70,6 @@ let raid t ~slot ~rng ~claim =
       in
       sweep 0
 
-let steal t ~slot ~rng = raid t ~slot ~rng ~claim:Deque.steal
-
 (* The deque's own steal-half does the batching: one raid claims up
    to half the victim's run, lock-free. *)
 let steal_batch t ~slot ~rng ~max ~spill =

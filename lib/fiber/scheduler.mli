@@ -36,18 +36,15 @@ val pop : 'a t -> slot:int -> 'a option
     sleeps. *)
 val take : 'a t -> slot:int -> 'a -> bool
 
-(** Take a task another member made runnable ([slot >= 0] skips the
-    caller's own deque), or hand one to a foreign worker ([slot = -1],
+(** Take tasks another member made runnable ([slot >= 0] skips the
+    caller's own deque), or hand them to a foreign worker ([slot = -1],
     cross-sub-pool overflow).  Random victims are probed first, then
     every deque is swept, so [None] means no stealable task was
-    observed.  [rng ()] supplies fresh non-negative pseudo-random
-    ints. *)
-val steal : 'a t -> slot:int -> rng:(unit -> int) -> 'a option
-
-(** Like {!steal}, but claim up to [max] tasks from a single victim in
-    one raid, capped at half the victim's run ({!Deque.steal_batch}):
-    the first is returned, the rest are handed to [spill] in queue
-    order.  [max <= 1] behaves as {!steal}. *)
+    observed.  [rng ()] supplies fresh non-negative pseudo-random ints.
+    One raid claims up to [max] tasks from a single victim, capped at
+    half the victim's run ({!Deque.steal_batch}): the first is
+    returned, the rest are handed to [spill] in queue order.  [max <= 1]
+    claims one task with {!Deque.steal}'s single-index CAS. *)
 val steal_batch :
   'a t -> slot:int -> rng:(unit -> int) -> max:int -> spill:('a -> unit) -> 'a option
 

@@ -57,8 +57,6 @@ let flops op ~b =
   | Trsm_l _ | Trsm_u _ -> fb
   | Gemm _ -> 2.0 *. fb
 
-let total_flops t ~b = Array.fold_left (fun acc tk -> acc +. flops tk.op ~b) 0.0 (dag t)
-
 (* ------------------------------------------------------------------ *)
 (* Real kernels. *)
 

@@ -17,8 +17,6 @@ val dag : int -> task array
 
 val flops : op -> b:int -> float
 
-val total_flops : int -> b:int -> float
-
 (** {1 Real kernels on full matrices (for validation)} *)
 
 (** In-place LU of a tile: unit-lower L and U packed together.

@@ -129,15 +129,6 @@ let gemm a b c =
     done
   done
 
-let lower x =
-  let r = copy x in
-  for i = 0 to x.n - 1 do
-    for j = i + 1 to x.n - 1 do
-      set r i j 0.0
-    done
-  done;
-  r
-
 let cholesky a =
   let r = copy a in
   potrf r;

@@ -52,9 +52,6 @@ val gemm : t -> t -> t -> unit
     with [L] in the lower triangle, upper zeroed). *)
 val cholesky : t -> t
 
-(** Zero the strict upper triangle (for comparing factors). *)
-val lower : t -> t
-
 (** Flop counts for a [b]-dimensional tile, used by the cost model. *)
 val flops_potrf : int -> float
 

@@ -20,8 +20,6 @@ let range n lo hi =
 
 let mem t c = c >= 0 && c < Array.length t && t.(c)
 
-let count t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t
-
 let to_list t =
   let acc = ref [] in
   for i = Array.length t - 1 downto 0 do
@@ -29,9 +27,4 @@ let to_list t =
   done;
   !acc
 
-let equal a b = a = b
-
 let width t = Array.length t
-
-let pp ppf t =
-  Format.fprintf ppf "{%s}" (String.concat "," (List.map string_of_int (to_list t)))

@@ -13,13 +13,7 @@ val range : int -> int -> int -> t
 
 val mem : t -> int -> bool
 
-val count : t -> int
-
 val to_list : t -> int list
-
-val equal : t -> t -> bool
 
 (** Number of cores the mask was sized for. *)
 val width : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -37,8 +37,6 @@ let trace t = t.tr
 
 let klt_id k = k.kid
 
-let klt_name k = k.kname
-
 let state_name k =
   match k.state with
   | Created -> "created"
@@ -51,18 +49,11 @@ let running_core k = k.core
 
 let cpu_time k = k.kacct.cpu_time
 
-let nice k = k.nice
-
 let live_klts t = List.filter (fun k -> k.state <> Zombie) t.all_klts
 
 let signals_delivered t = t.delivered
 
 let total_busy_time t = Array.fold_left ( +. ) 0.0 t.busy_time
-
-let utilization t =
-  let elapsed = now t in
-  if elapsed <= 0.0 then 0.0
-  else total_busy_time t /. (elapsed *. float_of_int (Array.length t.cores))
 
 let emit t tag detail = Trace.emit t.tr (now t) tag detail
 
@@ -868,8 +859,6 @@ module Futex = struct
 
   let set f v = f.value <- v
 
-  let waiters f = List.length (List.filter (fun w -> w.alive) f.fwaiters)
-
   let wait k klt f ~expected =
     if f.value <> expected then `Again
     else begin
@@ -971,8 +960,6 @@ module Timer = struct
         ignore (Engine.cancel ev);
         tm.ev <- None
     | None -> ()
-
-  let active tm = tm.on
 
   let fires tm = tm.count
 end

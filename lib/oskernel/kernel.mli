@@ -43,16 +43,12 @@ val spawn :
 
 val klt_id : klt -> int
 
-val klt_name : klt -> string
-
 val state_name : klt -> string
 (** ["created" | "runnable" | "running" | "blocked:<reason>" | "zombie"] *)
 
 val running_core : klt -> int option
 
 val cpu_time : klt -> float
-
-val nice : klt -> int
 
 (** [set_footprint t klt f] — relative cache working set in [0,1]
     scaling this KLT's migration penalty.  Default 1.  An M:N runtime
@@ -197,8 +193,6 @@ module Futex : sig
   (** [wake k ~waker fut n] wakes up to [n] waiters, charging [waker]
       (if given) the syscall cost per call.  Returns the number woken. *)
   val wake : kernel -> ?waker:klt -> t -> int -> int
-
-  val waiters : t -> int
 end
 
 (** {1 Interval timers} *)
@@ -222,8 +216,6 @@ module Timer : sig
     t
 
   val cancel : t -> unit
-
-  val active : t -> bool
 
   val fires : t -> int
 end
@@ -261,6 +253,3 @@ val obs_klt_block : int
 
 (** Sum of per-core busy time. *)
 val total_busy_time : t -> float
-
-(** [busy/(cores*now)]; 0 at time 0. *)
-val utilization : t -> float

@@ -110,8 +110,7 @@ let labeled_toy ?(violating = false) orders env =
     ~oracle:(fun () ->
       let o = Buffer.contents order in
       orders := o :: !orders;
-      if violating && o = "bbaa" then
-        Check.violate "B overtook A's first step")
+      Check.require (not (violating && o = "bbaa")) "B overtook A's first step")
     ()
 
 let test_dpor_explores_fewer_schedules_than_dfs () =
@@ -334,14 +333,12 @@ let test_trail_summary () =
 
 let test_excl_monitor () =
   let e = Check.Excl.create "crit" in
-  Check.Excl.enter e;
-  Check.Excl.leave e;
+  Check.Excl.critical e (fun () -> ());
   Check.Excl.critical e (fun () -> ());
   Alcotest.(check int) "entries counted" 2 (Check.Excl.entries e);
-  Check.Excl.enter e;
   Alcotest.check_raises "second entrant trips the monitor"
     (Check.Violation "mutual exclusion violated: 2 threads inside crit")
-    (fun () -> Check.Excl.enter e)
+    (fun () -> Check.Excl.critical e (fun () -> Check.Excl.critical e ignore))
 
 let test_choice_validates_picks () =
   let c = Choice.create ~choose:(fun ~n:_ ~tag:_ ~alts:_ -> 7) () in

@@ -2,7 +2,6 @@ open Oskern
 
 let test_all () =
   let s = Cpuset.all 4 in
-  Alcotest.(check int) "count" 4 (Cpuset.count s);
   Alcotest.(check (list int)) "members" [ 0; 1; 2; 3 ] (Cpuset.to_list s);
   Alcotest.(check bool) "mem" true (Cpuset.mem s 3);
   Alcotest.(check bool) "out of range" false (Cpuset.mem s 4);
@@ -18,10 +17,9 @@ let test_range () =
   Alcotest.(check (list int)) "range" [ 2; 3; 4 ] (Cpuset.to_list s)
 
 let test_equal () =
-  Alcotest.(check bool) "equal" true
-    (Cpuset.equal (Cpuset.of_list 4 [ 0; 2 ]) (Cpuset.of_list 4 [ 2; 0 ]));
-  Alcotest.(check bool) "not equal" false
-    (Cpuset.equal (Cpuset.of_list 4 [ 0 ]) (Cpuset.of_list 4 [ 1 ]))
+  let members cores = Cpuset.to_list (Cpuset.of_list 4 cores) in
+  Alcotest.(check bool) "equal" true (members [ 0; 2 ] = members [ 2; 0 ]);
+  Alcotest.(check bool) "not equal" false (members [ 0 ] = members [ 1 ])
 
 let test_invalid () =
   Alcotest.check_raises "bad core" (Invalid_argument "Cpuset.of_list: core out of range")

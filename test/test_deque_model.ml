@@ -477,7 +477,9 @@ let test_scheduler_take_vs_steal () =
     ~pop:(fun () -> Fiber.Scheduler.pop s ~slot:0)
     (fun i ->
       let rng = Random.State.make [| i |] in
-      fun _ -> Fiber.Scheduler.steal s ~slot:i ~rng:(fun () -> Random.State.bits rng));
+      fun _ ->
+        Fiber.Scheduler.steal_batch s ~slot:i ~max:1 ~spill:ignore
+          ~rng:(fun () -> Random.State.bits rng));
   Alcotest.(check int) "a take of a gone entry never claims" 15_000 !misses;
   (* Sequentially, a miss leaves the queue as it was. *)
   List.iter (Fiber.Scheduler.push s ~slot:0) [ 1; 2; 3 ];

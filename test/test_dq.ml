@@ -6,6 +6,9 @@ let rec pops n pop =
     let x = pop () in
     x :: pops (n - 1) pop
 
+(* Every element, front to back, leaving [q] empty. *)
+let rec drain q = match Dq.pop_front q with Some x -> x :: drain q | None -> []
+
 let test_fifo () =
   let q = Dq.create () in
   List.iter (Dq.push_back q) [ 1; 2; 3 ];
@@ -29,29 +32,8 @@ let test_steal_pattern () =
   Alcotest.(check (option int)) "thief back" (Some 4) (Dq.pop_back q);
   Alcotest.(check int) "two left" 2 (Dq.length q)
 
-let test_push_front () =
-  let q = Dq.create () in
-  Dq.push_back q 2;
-  Dq.push_front q 1;
-  Alcotest.(check (list int)) "order" [ 1; 2 ] (Dq.to_list q)
-
-let test_remove () =
-  let q = Dq.create () in
-  List.iter (Dq.push_back q) [ 1; 2; 3; 4 ];
-  Alcotest.(check (option int)) "remove 3" (Some 3) (Dq.remove q (fun x -> x = 3));
-  Alcotest.(check (option int)) "remove missing" None (Dq.remove q (fun x -> x = 9));
-  Alcotest.(check (list int)) "rest intact" [ 1; 2; 4 ] (Dq.to_list q)
-
-let test_clear_empty () =
-  let q = Dq.create () in
-  Alcotest.(check bool) "empty" true (Dq.is_empty q);
-  Dq.push_back q 1;
-  Dq.clear q;
-  Alcotest.(check bool) "cleared" true (Dq.is_empty q);
-  Alcotest.(check (option int)) "pop empty" None (Dq.pop_back q)
-
 let prop_deque_model =
-  (* Compare against a list model under random front/back operations. *)
+  (* Compare against a list model under random pushes and front/back pops. *)
   QCheck.Test.make ~name:"deque matches list model" ~count:300
     QCheck.(list (pair bool (pair bool small_nat)))
     (fun ops ->
@@ -60,15 +42,10 @@ let prop_deque_model =
       let ok = ref true in
       List.iter
         (fun (is_push, (front, v)) ->
-          if is_push then
-            if front then begin
-              Dq.push_front q v;
-              model := v :: !model
-            end
-            else begin
-              Dq.push_back q v;
-              model := !model @ [ v ]
-            end
+          if is_push then begin
+            Dq.push_back q v;
+            model := !model @ [ v ]
+          end
           else if front then begin
             let got = Dq.pop_front q in
             let expect =
@@ -92,26 +69,21 @@ let prop_deque_model =
             if got <> expect then ok := false
           end)
         ops;
-      !ok && Dq.to_list q = !model)
+      !ok && Dq.length q = List.length !model && drain q = !model)
 
 let test_model_10k () =
-  (* 10,000 seeded operations over the full API — pushes, pops from both
-     ends, predicate removal, occasional clear — checked move-by-move
-     against a list model.  Deterministic (Desim.Rng), so a failure
-     reproduces exactly. *)
+  (* 10,000 seeded operations over the full API — pushes and pops from
+     both ends — checked move-by-move against a list model.
+     Deterministic (Desim.Rng), so a failure reproduces exactly. *)
   let rng = Desim.Rng.make 20260806 in
   let q = Dq.create () in
   let model = ref [] in
   let step op =
     match op with
-    | 0 | 1 | 2 ->
+    | 0 | 1 | 2 | 3 | 4 ->
         let v = Desim.Rng.int rng 50 in
         Dq.push_back q v;
         model := !model @ [ v ]
-    | 3 | 4 ->
-        let v = Desim.Rng.int rng 50 in
-        Dq.push_front q v;
-        model := v :: !model
     | 5 | 6 -> (
         let got = Dq.pop_front q in
         match !model with
@@ -120,50 +92,20 @@ let test_model_10k () =
             model := rest;
             if got <> Some x then Alcotest.failf "pop_front: got wrong element"
         )
-    | 7 | 8 -> (
+    | _ -> (
         let got = Dq.pop_back q in
         match List.rev !model with
         | [] -> if got <> None then Alcotest.fail "pop_back on empty"
         | x :: rest ->
             model := List.rev rest;
             if got <> Some x then Alcotest.failf "pop_back: got wrong element")
-    | 9 ->
-        let target = Desim.Rng.int rng 50 in
-        let got = Dq.remove q (fun x -> x = target) in
-        let expect =
-          if List.mem target !model then begin
-            let removed = ref false in
-            model :=
-              List.filter
-                (fun x ->
-                  if (not !removed) && x = target then begin
-                    removed := true;
-                    false
-                  end
-                  else true)
-                !model;
-            Some target
-          end
-          else None
-        in
-        if got <> expect then Alcotest.failf "remove %d mismatch" target
-    | _ ->
-        Dq.clear q;
-        model := []
   in
   for i = 1 to 10_000 do
-    (* clear is rare: op 10 only on a 1-in-500 side roll *)
-    let op = Desim.Rng.int rng 10 in
-    let op = if op = 9 && Desim.Rng.int rng 50 = 0 then 10 else op in
-    step op;
+    step (Desim.Rng.int rng 10);
     if Dq.length q <> List.length !model then
-      Alcotest.failf "length diverged at op %d" i;
-    if Dq.is_empty q <> (!model = []) then
-      Alcotest.failf "is_empty diverged at op %d" i;
-    if i mod 1000 = 0 && Dq.to_list q <> !model then
-      Alcotest.failf "contents diverged at op %d" i
+      Alcotest.failf "length diverged at op %d" i
   done;
-  Alcotest.(check (list int)) "final contents" !model (Dq.to_list q)
+  Alcotest.(check (list int)) "final contents" !model (drain q)
 
 let suite =
   [
@@ -171,8 +113,5 @@ let suite =
     Alcotest.test_case "model x10k seeded" `Quick test_model_10k;
     Alcotest.test_case "lifo" `Quick test_lifo;
     Alcotest.test_case "steal pattern" `Quick test_steal_pattern;
-    Alcotest.test_case "push_front" `Quick test_push_front;
-    Alcotest.test_case "remove" `Quick test_remove;
-    Alcotest.test_case "clear/empty" `Quick test_clear_empty;
     QCheck_alcotest.to_alcotest prop_deque_model;
   ]

@@ -13,6 +13,26 @@ let test_run_propagates_exception () =
       Alcotest.check_raises "exn" Exit (fun () ->
           Fiber.run pool (fun () -> raise Exit)))
 
+(* An exception from a [suspend_or] decision is raised in the fiber that
+   asked, where its own handler sees it, and the pool stays usable: the
+   decision runs on the worker's stack, outside the fiber. *)
+let test_suspend_or_decide_raises () =
+  with_pool ~domains:1 (fun pool ->
+      let first =
+        Fiber.run pool (fun () ->
+            try
+              Fiber.suspend_or (fun _ -> raise Exit);
+              "returned"
+            with Exit -> "caught")
+      in
+      Alcotest.(check string) "the fiber catches it" "caught" first;
+      let child =
+        Fiber.run pool (fun () ->
+            let p = Fiber.spawn (fun () -> Fiber.suspend_or (fun _ -> raise Not_found)) in
+            match Fiber.await p with () -> "returned" | exception Not_found -> "awaited")
+      in
+      Alcotest.(check string) "a child's escapes through await" "awaited" child)
+
 let test_spawn_await () =
   with_pool (fun pool ->
       let r =
@@ -255,7 +275,8 @@ let with_sharded ?(recorder = false) f =
 let test_targeted_spawn () =
   with_sharded (fun pool ->
       Alcotest.(check (list string))
-        "names in config order" [ "compute"; "analysis" ] (Fiber.subpools pool);
+        "names in config order" [ "compute"; "analysis" ]
+        (List.map (fun st -> st.Fiber.st_name) (Fiber.stats pool));
       let r =
         Fiber.run pool (fun () ->
             Fiber.await (Fiber.spawn ~pool:"analysis" (fun () -> 21 * 2)))
@@ -593,6 +614,7 @@ let suite =
   [
     Alcotest.test_case "run returns" `Quick test_run_returns;
     Alcotest.test_case "run propagates exception" `Quick test_run_propagates_exception;
+    Alcotest.test_case "suspend_or decide raises" `Quick test_suspend_or_decide_raises;
     Alcotest.test_case "spawn/await" `Quick test_spawn_await;
     Alcotest.test_case "await failed child" `Quick test_await_failed_child;
     Alcotest.test_case "many fibers" `Quick test_many_fibers;

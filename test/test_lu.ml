@@ -62,8 +62,10 @@ let test_dag_program_order () =
     (Lu.dag 6)
 
 let test_total_flops_positive () =
-  Alcotest.(check bool) "flops grow with t" true
-    (Lu.total_flops 6 ~b:10 > Lu.total_flops 4 ~b:10)
+  let total t =
+    Array.fold_left (fun acc (tk : Lu.task) -> acc +. Lu.flops tk.op ~b:10) 0.0 (Lu.dag t)
+  in
+  Alcotest.(check bool) "flops grow with t" true (total 6 > total 4)
 
 let prop_random_topo_order_correct =
   QCheck.Test.make ~name:"LU: random topological order is correct" ~count:8

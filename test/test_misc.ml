@@ -139,26 +139,6 @@ let test_recommend_kind () =
   Alcotest.(check bool) "unknown (third-party) -> KLT-switching" true
     (Config.recommend_kind ~needs_preemption:true ~klt_dependent:None = `Klt_switching)
 
-let test_stats_summary () =
-  let eng = Engine.create () in
-  let kernel = Kernel.create eng small in
-  let config =
-    {
-      Config.default with
-      Config.timer_strategy = Config.Per_worker_aligned;
-      interval = 1e-3;
-    }
-  in
-  let rt = Runtime.create ~config kernel ~n_workers:4 in
-  ignore
-    (Runtime.spawn rt ~kind:Types.Signal_yield ~name:"w" (fun () -> Ult.compute 5e-3));
-  Runtime.start rt;
-  Engine.run eng;
-  let s = Runtime.stats_summary rt in
-  Alcotest.(check bool) "mentions workers" true (Astring_contains.contains s "4 workers");
-  Alcotest.(check bool) "per-worker lines" true (Astring_contains.contains s "worker0");
-  Alcotest.(check bool) "signals" true (Astring_contains.contains s "signals honored")
-
 let suite =
   [
     Alcotest.test_case "ULT team parallelizes" `Quick test_team_parallelizes;
@@ -170,6 +150,5 @@ let suite =
     Alcotest.test_case "SCHED_FIFO ablation" `Quick test_fifo_ablation_runs_and_prioritizes;
     Alcotest.test_case "fmg profile invalid" `Quick test_profile_invalid;
     Alcotest.test_case "fmg profile scales linearly" `Quick test_profile_scaling_linear;
-    Alcotest.test_case "runtime stats summary" `Quick test_stats_summary;
     Alcotest.test_case "3.4 thread-type guidance" `Quick test_recommend_kind;
   ]
