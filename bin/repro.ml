@@ -134,7 +134,8 @@ let observe =
       & info [ "chrome" ] ~docv:"FILE"
           ~doc:
             "Write the flight record as Chrome trace_events JSON to $(docv) \
-             (one lifecycle lane per ULT plus a preemption-event lane).")
+             (one lane per core, one lifecycle lane per ULT, and kernel and \
+             preemption event lanes).")
   in
   let dump =
     Arg.(

@@ -23,17 +23,15 @@ let require ok fmt =
 (* Programs under test                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type env = { eng : Engine.t; trace : Trace.t }
+type env = { eng : Engine.t }
 
 type program = {
   runtime : Runtime.t option;  (** watched by the deadlock oracle *)
   ults : Ult.t list;  (** threads the deadlock oracle tracks *)
-  cores : int;  (** for the violation-report trace dump; 0 = no dump *)
   oracle : unit -> unit;  (** post-run invariant check; raise {!Violation} *)
 }
 
-let program ?runtime ?(ults = []) ?(cores = 0) ?(oracle = fun () -> ()) () =
-  { runtime; ults; cores; oracle }
+let program ?runtime ?(ults = []) ?(oracle = fun () -> ()) () = { runtime; ults; oracle }
 
 (* ------------------------------------------------------------------ *)
 (* Oracles                                                             *)
@@ -211,8 +209,6 @@ type one = {
   o_trail : Trail.t;
   o_failure : string option;
   o_pruned : bool;  (** DPOR abandoned the schedule as redundant *)
-  o_trace : Trace.t;
-  o_cores : int;
   o_flight : string;
   o_parent : int -> int;  (** event creation parent (engine metadata) *)
 }
@@ -258,10 +254,8 @@ let watchdog eng rt ults ~deadlock_after =
   Engine.post_after eng interval tick
 
 let run_one ?(on_fire = fun ~seq:_ ~fp:_ -> ()) ~decide ~faults ~max_events
-    ~until ~deadlock_after ~record_trace (prog : env -> program) =
+    ~until ~deadlock_after (prog : env -> program) =
   let eng = Engine.create ~seed:default_engine_seed () in
-  let trace = Trace.create () in
-  if record_trace then Trace.enable trace;
   let entries = ref [] in
   let record tag n picked =
     entries := { Trail.tag; n; picked } :: !entries;
@@ -281,13 +275,11 @@ let run_one ?(on_fire = fun ~seq:_ ~fp:_ -> ()) ~decide ~faults ~max_events
       ~fired:on_fire ()
   in
   Engine.set_controller eng (Some ctrl);
-  let cores = ref 0 in
   let failure = ref None in
   let pruned = ref false in
   let rt_ref = ref None in
   (try
-     let p = prog { eng; trace } in
-     cores := p.cores;
+     let p = prog { eng } in
      rt_ref := p.runtime;
      (match p.runtime with
      | Some rt when p.ults <> [] -> watchdog eng rt p.ults ~deadlock_after
@@ -309,8 +301,6 @@ let run_one ?(on_fire = fun ~seq:_ ~fp:_ -> ()) ~decide ~faults ~max_events
     o_trail = Array.of_list (List.rev !entries);
     o_failure = !failure;
     o_pruned = !pruned;
-    o_trace = trace;
-    o_cores = !cores;
     o_flight;
     o_parent = Engine.event_parent eng;
   }
@@ -733,9 +723,8 @@ let run ?(seed = 1) ?(faults = false) ?(jobs = 1) ?(max_events = 2_000_000)
   if budget <= 0 then invalid_arg "Check.run: budget must be positive";
   if jobs <= 0 then invalid_arg "Check.run: jobs must be positive";
   let dfs = { prefix = [||]; exhausted = false } in
-  let run_plain ?on_fire ?(record_trace = false) decide =
-    run_one ?on_fire ~decide ~faults ~max_events ~until ~deadlock_after
-      ~record_trace prog
+  let run_plain ?on_fire decide =
+    run_one ?on_fire ~decide ~faults ~max_events ~until ~deadlock_after prog
   in
   (* PCT needs a trail-length horizon to place its change points.  The
      sequential loop adapts it from the previous schedule; that feedback
@@ -767,19 +756,20 @@ let run ?(seed = 1) ?(faults = false) ?(jobs = 1) ?(max_events = 2_000_000)
     let shrunk, msg', _attempts =
       shrink ~replay ~max_replays:max_shrink_replays one.o_trail msg
     in
-    (* Re-execute the shrunk trail with tracing on: confirms the replay
-       is deterministic and captures the span dump for the report. *)
-    let final = run_plain ~record_trace:true (follower shrunk) in
+    (* Re-execute the shrunk trail: confirms the replay is deterministic
+       and captures the flight record for the report. *)
+    let final = run_plain (follower shrunk) in
     let msg'', trail'' =
       match final.o_failure with
       | Some m -> (m, final.o_trail)
       | None -> (msg', shrunk)
     in
+    let cx_flight = if final.o_failure <> None then final.o_flight else one.o_flight in
     let cx_trace =
-      if final.o_cores > 0 && Trace.length final.o_trace > 0 then
-        Experiments.Chrome_trace.(
-          to_json (of_trace ~cores:final.o_cores final.o_trace))
-      else ""
+      match Recorder.decode cx_flight with
+      | Ok d when cx_flight <> "" ->
+          Experiments.Chrome_trace.(to_json (of_flight d.Recorder.d_events))
+      | _ -> ""
     in
     {
       cx_message = msg'';
@@ -790,7 +780,7 @@ let run ?(seed = 1) ?(faults = false) ?(jobs = 1) ?(max_events = 2_000_000)
       cx_faults = faults;
       cx_trail = trail'';
       cx_trace;
-      cx_flight = (if final.o_failure <> None then final.o_flight else one.o_flight);
+      cx_flight;
     }
   in
   match strategy with

@@ -26,14 +26,12 @@ val require : bool -> ('a, unit, string, unit) format4 -> 'a
 
 type env = {
   eng : Desim.Engine.t;  (** fresh engine, controller already installed *)
-  trace : Desim.Trace.t;  (** pass to [Kernel.create ~trace] for dumps *)
 }
 
 type program = {
   runtime : Preempt_core.Runtime.t option;
       (** watched by the deadlock oracle *)
   ults : Preempt_core.Ult.t list;  (** threads the deadlock oracle tracks *)
-  cores : int;  (** for the violation-report trace dump; 0 = no dump *)
   oracle : unit -> unit;
       (** runs after the engine drains; raise {!Violation} on breakage *)
 }
@@ -41,7 +39,6 @@ type program = {
 val program :
   ?runtime:Preempt_core.Runtime.t ->
   ?ults:Preempt_core.Ult.t list ->
-  ?cores:int ->
   ?oracle:(unit -> unit) ->
   unit ->
   program
@@ -121,7 +118,9 @@ type counterexample = {
   cx_schedule : int;  (** 0-based index of the failing schedule *)
   cx_faults : bool;  (** fault injection was enabled *)
   cx_trail : Trail.t;  (** shrunk trail; replay with [Replay cx_trail] *)
-  cx_trace : string;  (** Chrome-trace JSON of the shrunk failing run *)
+  cx_trace : string;
+      (** Chrome-trace JSON of the shrunk failing run, rendered from
+          [cx_flight]; empty when [cx_flight] is *)
   cx_flight : string;
       (** binary flight-record dump of the shrunk failing run — empty
           unless the program's runtime had its {!Preempt_core.Recorder}

@@ -29,7 +29,7 @@ type t = {
    schedule from the controller-carrying engine in [env]. *)
 let preemptive_rt (env : Runner.env) =
   let machine = Machine.with_cores Machine.skylake 2 in
-  let kernel = Kernel.create ~trace:env.Runner.trace env.Runner.eng machine in
+  let kernel = Kernel.create env.Runner.eng machine in
   let config =
     Config.make ~timer_strategy:Config.Per_worker_aligned ~interval:0.3e-3
       ~metrics_enabled:true ~recorder_enabled:true ()
@@ -60,7 +60,7 @@ let deadlock_prog env =
       (grab m2 m1)
   in
   Runtime.start rt;
-  Runner.program ~runtime:rt ~ults:[ ua; ub ] ~cores:2
+  Runner.program ~runtime:rt ~ults:[ ua; ub ]
     ~oracle:(fun () -> Runner.all_finished rt)
     ()
 
@@ -96,7 +96,7 @@ let lost_wakeup_prog env =
         | None -> ())
   in
   Runtime.start rt;
-  Runner.program ~runtime:rt ~ults:[ waiter; signaler ] ~cores:2
+  Runner.program ~runtime:rt ~ults:[ waiter; signaler ]
     ~oracle:(fun () -> Runner.all_finished rt)
     ()
 
@@ -127,7 +127,7 @@ let racy_flag_prog env =
           ~name:(Printf.sprintf "racer%d" i) body)
   in
   Runtime.start rt;
-  Runner.program ~runtime:rt ~ults:us ~cores:2
+  Runner.program ~runtime:rt ~ults:us
     ~oracle:(fun () -> Runner.all_finished rt)
     ()
 
@@ -156,7 +156,7 @@ let mutex_ok_prog env =
           ~name:(Printf.sprintf "locker%d" i) body)
   in
   Runtime.start rt;
-  Runner.program ~runtime:rt ~ults:us ~cores:2
+  Runner.program ~runtime:rt ~ults:us
     ~oracle:(fun () ->
       Runner.all_finished rt;
       Runner.require (!count = threads * rounds)
@@ -188,7 +188,7 @@ let channel_fifo_prog env =
         done)
   in
   Runtime.start rt;
-  Runner.program ~runtime:rt ~ults:[ producer; consumer ] ~cores:2
+  Runner.program ~runtime:rt ~ults:[ producer; consumer ]
     ~oracle:(fun () ->
       Runner.all_finished rt;
       Runner.require
@@ -228,7 +228,7 @@ let lock_prog ~section ~make env =
           ~name:(Printf.sprintf "locker%d" i) body)
   in
   Runtime.start rt;
-  Runner.program ~runtime:rt ~ults:us ~cores:2
+  Runner.program ~runtime:rt ~ults:us
     ~oracle:(fun () ->
       Runner.all_finished rt;
       Runner.require
@@ -597,7 +597,7 @@ let serve_overload_prog ?(racy = false) env =
             done))
   in
   Runtime.start rt;
-  Runner.program ~runtime:rt ~ults:(injector :: servers) ~cores:2
+  Runner.program ~runtime:rt ~ults:(injector :: servers)
     ~oracle:(fun () ->
       Array.iteri
         (fun i n ->

@@ -2,21 +2,18 @@
    sizes in the simulator are small, so occasional O(n) rebalances are
    irrelevant. *)
 
-type 'a t = { mutable front : 'a list; mutable back : 'a list; mutable size : int }
+type 'a t = { mutable front : 'a list; mutable back : 'a list }
 
-let create () = { front = []; back = []; size = 0 }
+let create () = { front = []; back = [] }
 
-let length t = t.size
+let length t = List.length t.front + List.length t.back
 
-let push_back t x =
-  t.back <- x :: t.back;
-  t.size <- t.size + 1
+let push_back t x = t.back <- x :: t.back
 
 let pop_front t =
   match t.front with
   | x :: rest ->
       t.front <- rest;
-      t.size <- t.size - 1;
       Some x
   | [] -> (
       match List.rev t.back with
@@ -24,14 +21,12 @@ let pop_front t =
       | x :: rest ->
           t.back <- [];
           t.front <- rest;
-          t.size <- t.size - 1;
           Some x)
 
 let pop_back t =
   match t.back with
   | x :: rest ->
       t.back <- rest;
-      t.size <- t.size - 1;
       Some x
   | [] -> (
       match List.rev t.front with
@@ -39,5 +34,4 @@ let pop_back t =
       | x :: rest ->
           t.front <- [];
           t.back <- rest;
-          t.size <- t.size - 1;
           Some x)

@@ -40,19 +40,31 @@ let ev_sync_wake = 14 (* a = uid *)
 
 let ev_klt_remap = 15 (* a = new klt id carrying the worker *)
 
-(* Kernel-side events, forwarded through the engine observer. *)
+(* Kernel-side events, forwarded through the engine observer.  The
+   kernel owns their numbers (16-21 and 31 up); see [Oskern.Kernel]'s
+   observer codes for each [a]/[b]. *)
 
-let ev_timer_fire = 16 (* a = target klt id (-1 skipped) *)
+let ev_timer_fire = Oskern.Kernel.obs_timer_fire
 
-let ev_sig_deliver = 17 (* a = klt id, b = signo *)
+let ev_sig_deliver = Oskern.Kernel.obs_sig_deliver
 
-let ev_futex_wait = 18 (* a = klt id *)
+let ev_futex_wait = Oskern.Kernel.obs_futex_wait
 
-let ev_futex_wake = 19 (* a = woken, b = requested *)
+let ev_futex_wake = Oskern.Kernel.obs_futex_wake
 
-let ev_klt_dispatch = 20 (* a = klt id, b = core *)
+let ev_klt_dispatch = Oskern.Kernel.obs_klt_dispatch
 
-let ev_klt_block = 21 (* a = klt id *)
+let ev_klt_block = Oskern.Kernel.obs_klt_block
+
+let ev_klt_exit = Oskern.Kernel.obs_klt_exit
+
+let ev_klt_preempt = Oskern.Kernel.obs_klt_preempt
+
+let ev_klt_migrate = Oskern.Kernel.obs_klt_migrate
+
+let ev_newidle_pull = Oskern.Kernel.obs_newidle_pull
+
+let ev_balance_move = Oskern.Kernel.obs_balance_move
 
 let ev_pool_steal = 22
 (* a = thief sub-pool id, b = victim sub-pool id.  Emitted by the real
@@ -105,12 +117,6 @@ let code_name = function
   | 13 -> "sync-block"
   | 14 -> "sync-wake"
   | 15 -> "klt-remap"
-  | 16 -> "timer-fire"
-  | 17 -> "sig-deliver"
-  | 18 -> "futex-wait"
-  | 19 -> "futex-wake"
-  | 20 -> "klt-dispatch"
-  | 21 -> "klt-block"
   | 22 -> "pool-steal"
   | 23 -> "quantum-change"
   | 24 -> "req-arrival"
@@ -120,6 +126,17 @@ let code_name = function
   | 28 -> "req-resume"
   | 29 -> "req-done"
   | 30 -> "steal-batch"
+  | c when c = ev_timer_fire -> "timer-fire"
+  | c when c = ev_sig_deliver -> "sig-deliver"
+  | c when c = ev_futex_wait -> "futex-wait"
+  | c when c = ev_futex_wake -> "futex-wake"
+  | c when c = ev_klt_dispatch -> "klt-dispatch"
+  | c when c = ev_klt_block -> "klt-block"
+  | c when c = ev_klt_exit -> "klt-exit"
+  | c when c = ev_klt_preempt -> "klt-preempt"
+  | c when c = ev_klt_migrate -> "klt-migrate"
+  | c when c = ev_newidle_pull -> "newidle-pull"
+  | c when c = ev_balance_move -> "balance-move"
   | c -> Printf.sprintf "code%d" c
 
 (* ------------------------------------------------------------------ *)

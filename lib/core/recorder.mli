@@ -73,6 +73,12 @@ val ev_klt_remap : int
 (** Worker continued on a fresh KLT after switching away from a bound
     thread ([a] = new klt id). *)
 
+(** {2 Kernel event codes}
+
+    Forwarded through the engine observer into the global ring.  These
+    are bound to [Oskern.Kernel]'s observer codes, which own the
+    numbers (16-21, then 31 up). *)
+
 val ev_timer_fire : int
 (** Kernel: interval timer expiry ([a] = target klt id, [-1] skipped,
     [b] = cumulative fires). Global ring. *)
@@ -91,6 +97,28 @@ val ev_klt_dispatch : int
 
 val ev_klt_block : int
 (** Kernel: KLT blocked, releasing its core ([a] = klt id). *)
+
+val ev_klt_exit : int
+(** Kernel: KLT exited ([a] = klt id, [b] = the core it held, [-1]
+    none). *)
+
+val ev_klt_preempt : int
+(** Kernel: KLT preempted off its core and requeued ([a] = klt id,
+    [b] = the core it left). *)
+
+val ev_klt_migrate : int
+(** Kernel: KLT about to be dispatched on a core other than its last
+    ([a] = klt id, [b] = the new core). *)
+
+val ev_newidle_pull : int
+(** Kernel: a newly idle core pulled a queued KLT ([a] = klt id,
+    [b] = the pulling core). *)
+
+val ev_balance_move : int
+(** Kernel: periodic load balancing moved a queued KLT ([a] = klt id,
+    [b] = its new core). *)
+
+(** {2 Real fiber runtime codes} *)
 
 val ev_pool_steal : int
 (** Real fiber runtime: successful steal attributed to sub-pools

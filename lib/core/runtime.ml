@@ -4,8 +4,6 @@ open Oskern
 
 type t = rt
 
-let kernel rt = rt.kernel
-
 let n_active rt = rt.n_active
 
 let unfinished rt = rt.unfinished
@@ -42,19 +40,10 @@ let costs rt = Kernel.costs rt.kernel
 
 (* Kernel events arrive through the engine observer (installed only
    while the recorder is enabled, so a disabled recorder costs the
-   kernel one option check per site) and land in the global ring. *)
+   kernel one option check per site) and land in the global ring.  The
+   kernel's codes are the recorder's, so they are stored as given. *)
 let kernel_observer rt ts code a b =
-  let code =
-    if code = Kernel.obs_timer_fire then Recorder.ev_timer_fire
-    else if code = Kernel.obs_sig_deliver then Recorder.ev_sig_deliver
-    else if code = Kernel.obs_futex_wait then Recorder.ev_futex_wait
-    else if code = Kernel.obs_futex_wake then Recorder.ev_futex_wake
-    else if code = Kernel.obs_klt_dispatch then Recorder.ev_klt_dispatch
-    else if code = Kernel.obs_klt_block then Recorder.ev_klt_block
-    else 0
-  in
-  if code <> 0 then
-    Recorder.emit rt.recorder (Recorder.global_ring rt.recorder) ts code a b
+  Recorder.emit rt.recorder (Recorder.global_ring rt.recorder) ts code a b
 
 let recorder rt = rt.recorder
 
@@ -430,11 +419,8 @@ and park_klt rt klt =
 and suspend_worker rt (w : worker) klt =
   let fut = Kernel.Futex.create rt.kernel 0 in
   w.wake_fut <- Some fut;
-  let tr = Kernel.trace rt.kernel in
-  if Trace.enabled tr then Trace.emit tr (now rt) "worker-suspend" (string_of_int w.rank);
   ignore (Kernel.Futex.wait rt.kernel klt fut ~expected:0);
-  w.wake_fut <- None;
-  if Trace.enabled tr then Trace.emit tr (now rt) "worker-resume" (string_of_int w.rank)
+  w.wake_fut <- None
 
 (* One idle poll, then — when [Kernel.spin] can run it in the poll's
    completion event — as many further steps of [sched_loop] as find no

@@ -73,8 +73,6 @@ val n_active : t -> int
 
 (** {1 Introspection} *)
 
-val kernel : t -> Oskern.Kernel.t
-
 (** Threads spawned and not yet finished. *)
 val unfinished : t -> int
 

@@ -17,26 +17,45 @@ type event = {
 
 let us t = t *. 1e6
 
+let metadata ~pid ~tid name label =
+  {
+    name;
+    cat = "__metadata";
+    ph = "M";
+    ts = 0.0;
+    dur = None;
+    pid;
+    tid;
+    args = [ ("name", A_str label) ];
+  }
+
+let code_args (e : Preempt_core.Recorder.event) =
+  [
+    ("a", A_num (float_of_int e.Preempt_core.Recorder.e_a));
+    ("b", A_num (float_of_int e.Preempt_core.Recorder.e_b));
+  ]
+
 (* ------------------------------------------------------------------ *)
-(* Building events from a trace. *)
+(* Kernel lanes: one track per core showing which KLT held it (from the
+   dispatch / block / preempt / exit events, via [Gantt]), an instant
+   track for the scheduler's other events, and the metric counters. *)
 
-let pid = 1
+let kernel_pid = 1
 
-let instant_tags =
-  [ "signal"; "preempt"; "migrate"; "newidle"; "balance"; "worker-suspend"; "worker-resume" ]
+let kernel_instant c =
+  let open Preempt_core.Recorder in
+  c = ev_sig_deliver || c = ev_futex_wait || c = ev_futex_wake || c = ev_klt_preempt
+  || c = ev_klt_exit || c = ev_klt_migrate || c = ev_newidle_pull || c = ev_balance_move
 
-let of_trace ~cores ?metrics ?t_end trace =
-  let records = Desim.Trace.records trace in
-  let t_end =
-    match t_end with
-    | Some t -> t
-    | None -> List.fold_left (fun acc (r : Desim.Trace.record) -> Float.max acc r.time) 0.0 records
+let kernel_events ?metrics (evs : Preempt_core.Recorder.event array) ~t_end push =
+  let open Preempt_core in
+  let gantt = Gantt.of_trace evs in
+  let cores = Gantt.cores gantt in
+  let any = ref false in
+  let push e =
+    any := true;
+    push e
   in
-  let events = ref [] in
-  let push e = events := e :: !events in
-  (* Core occupancy -> complete events, one track per core. *)
-  let gantt = Gantt.of_trace ~cores trace in
-  let spans = Gantt.spans gantt ~t_end in
   List.iter
     (fun (core, name, t0, t1) ->
       push
@@ -46,35 +65,33 @@ let of_trace ~cores ?metrics ?t_end trace =
           ph = "X";
           ts = us t0;
           dur = Some (us (t1 -. t0));
-          pid;
+          pid = kernel_pid;
           tid = core;
           args = [];
         })
-    spans;
-  (* Everything that is not a dispatch/exit becomes an instant event on
-     an "events" track above the core lanes. *)
-  List.iter
-    (fun (r : Desim.Trace.record) ->
-      if List.mem r.tag instant_tags then
+    (Gantt.spans gantt ~t_end);
+  Array.iter
+    (fun (e : Recorder.event) ->
+      if kernel_instant e.Recorder.e_code then
         push
           {
-            name = r.tag;
+            name = Recorder.code_name e.Recorder.e_code;
             cat = "kernel";
             ph = "i";
-            ts = us r.time;
+            ts = us e.Recorder.e_ts;
             dur = None;
-            pid;
+            pid = kernel_pid;
             tid = cores;
-            args = [ ("detail", A_str r.detail) ];
+            args = code_args e;
           })
-    records;
+    evs;
   (* Metric counters: one "C" sample per worker at the end of the run
      (the runtime keeps totals, not time series). *)
   (match metrics with
   | None -> ()
-  | Some (snap : Preempt_core.Metrics.snapshot) ->
+  | Some (snap : Metrics.snapshot) ->
       Array.iteri
-        (fun rank (c : Preempt_core.Metrics.wcounters) ->
+        (fun rank (c : Metrics.wcounters) ->
           push
             {
               name = Printf.sprintf "worker%d counters" rank;
@@ -82,7 +99,7 @@ let of_trace ~cores ?metrics ?t_end trace =
               ph = "C";
               ts = us t_end;
               dur = None;
-              pid;
+              pid = kernel_pid;
               tid = rank;
               args =
                 [
@@ -96,54 +113,83 @@ let of_trace ~cores ?metrics ?t_end trace =
                   ("io_restarts", A_num (float_of_int c.io_restarts));
                 ];
             })
-        snap.Preempt_core.Metrics.s_workers);
+        snap.Metrics.s_workers);
   (* Track names, only when there is something to label. *)
-  if !events <> [] then begin
-    push
-      {
-        name = "process_name";
-        cat = "__metadata";
-        ph = "M";
-        ts = 0.0;
-        dur = None;
-        pid;
-        tid = 0;
-        args = [ ("name", A_str "preempt-sim") ];
-      };
+  if !any then begin
+    push (metadata ~pid:kernel_pid ~tid:0 "process_name" "preempt-sim");
     for c = 0 to cores - 1 do
-      push
-        {
-          name = "thread_name";
-          cat = "__metadata";
-          ph = "M";
-          ts = 0.0;
-          dur = None;
-          pid;
-          tid = c;
-          args = [ ("name", A_str (Printf.sprintf "core%d" c)) ];
-        }
+      push (metadata ~pid:kernel_pid ~tid:c "thread_name" (Printf.sprintf "core%d" c))
     done;
-    push
-      {
-        name = "thread_name";
-        cat = "__metadata";
-        ph = "M";
-        ts = 0.0;
-        dur = None;
-        pid;
-        tid = cores;
-        args = [ ("name", A_str "kernel events") ];
-      }
-  end;
-  List.rev !events
+    push (metadata ~pid:kernel_pid ~tid:cores "thread_name" "kernel events")
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Building events from a flight record: one lane per ULT showing its
-   reconstructed lifecycle phases as complete events, plus an instant
-   lane for the preemption machinery (timer fires, signal posts,
-   preemption requests/completions, steals). *)
+(* ULT lanes: one per ULT showing its reconstructed lifecycle phases as
+   complete events, plus an instant lane for the preemption machinery
+   (timer fires, signal posts, preemption requests/completions,
+   steals). *)
 
 let flight_pid = 2
+
+let flight_instant c =
+  let open Preempt_core.Recorder in
+  c = ev_sig_post || c = ev_preempt_req || c = ev_preempt_done || c = ev_timer_fire
+  || c = ev_steal || c = ev_klt_remap || c = ev_pool_steal || c = ev_quantum_change
+
+let ult_events (evs : Preempt_core.Recorder.event array) ~t_end push =
+  let open Preempt_core in
+  let lcs = Recorder.lifecycles evs in
+  let max_uid = List.fold_left (fun acc lc -> max acc lc.Recorder.lc_uid) (-1) lcs in
+  let instant_tid = max_uid + 1 in
+  let any = ref false in
+  let push e =
+    any := true;
+    push e
+  in
+  List.iter
+    (fun (lc : Recorder.lifecycle) ->
+      List.iter
+        (fun (sp : Recorder.span) ->
+          let t1 = if Float.is_nan sp.Recorder.s_to then t_end else sp.Recorder.s_to in
+          if sp.Recorder.s_phase <> Recorder.P_finished && t1 >= sp.Recorder.s_from then
+            push
+              {
+                name = Recorder.phase_name sp.Recorder.s_phase;
+                cat = "ult";
+                ph = "X";
+                ts = us sp.Recorder.s_from;
+                dur = Some (us (t1 -. sp.Recorder.s_from));
+                pid = flight_pid;
+                tid = lc.Recorder.lc_uid;
+                args = [];
+              })
+        lc.Recorder.lc_spans)
+    lcs;
+  Array.iter
+    (fun (e : Recorder.event) ->
+      if flight_instant e.Recorder.e_code then
+        push
+          {
+            name = Recorder.code_name e.Recorder.e_code;
+            cat = "flight";
+            ph = "i";
+            ts = us e.Recorder.e_ts;
+            dur = None;
+            pid = flight_pid;
+            tid = instant_tid;
+            args = ("ring", A_num (float_of_int e.Recorder.e_ring)) :: code_args e;
+          })
+    evs;
+  if !any then begin
+    push (metadata ~pid:flight_pid ~tid:0 "process_name" "flight-recorder");
+    List.iter
+      (fun (lc : Recorder.lifecycle) ->
+        push
+          (metadata ~pid:flight_pid ~tid:lc.Recorder.lc_uid "thread_name"
+             (Printf.sprintf "ult%d" lc.Recorder.lc_uid)))
+      lcs;
+    push (metadata ~pid:flight_pid ~tid:instant_tid "thread_name" "preemption events")
+  end
 
 (* Per-request lanes (serving-workload dumps): requests render as a
    separate Perfetto process, one lane per request id, with its span
@@ -161,8 +207,7 @@ let request_events (evs : Preempt_core.Recorder.event array) ~t_end push =
     |> List.stable_sort (fun (a : Recorder.event) (b : Recorder.event) ->
            compare a.Recorder.e_ts b.Recorder.e_ts)
   in
-  if req_evs = [] then false
-  else begin
+  if req_evs <> [] then begin
     (* Walk each request's events in time order; slices open at a state
        change and close at the next (or at t_end when the tail of the
        span was lost to ring wraparound). *)
@@ -210,126 +255,20 @@ let request_events (evs : Preempt_core.Recorder.event array) ~t_end push =
     (* Slices still open lost their closing event to wraparound; extend
        them to the end of the record so the lane stays visible. *)
     Hashtbl.iter (fun req _ -> close req t_end) (Hashtbl.copy state);
-    push
-      {
-        name = "process_name";
-        cat = "__metadata";
-        ph = "M";
-        ts = 0.0;
-        dur = None;
-        pid = request_pid;
-        tid = 0;
-        args = [ ("name", A_str "requests") ];
-      };
+    push (metadata ~pid:request_pid ~tid:0 "process_name" "requests");
     Hashtbl.iter
       (fun req _ ->
-        push
-          {
-            name = "thread_name";
-            cat = "__metadata";
-            ph = "M";
-            ts = 0.0;
-            dur = None;
-            pid = request_pid;
-            tid = req;
-            args = [ ("name", A_str (Printf.sprintf "req%d" req)) ];
-          })
-      ids;
-    true
+        push (metadata ~pid:request_pid ~tid:req "thread_name" (Printf.sprintf "req%d" req)))
+      ids
   end
 
-let of_flight (evs : Preempt_core.Recorder.event array) =
-  let open Preempt_core in
-  let t_end = Array.fold_left (fun acc e -> Float.max acc e.Recorder.e_ts) 0.0 evs in
+let of_flight ?metrics (evs : Preempt_core.Recorder.event array) =
+  let t_end = Array.fold_left (fun acc e -> Float.max acc e.Preempt_core.Recorder.e_ts) 0.0 evs in
   let events = ref [] in
   let push e = events := e :: !events in
-  let lcs = Recorder.lifecycles evs in
-  let max_uid = List.fold_left (fun acc lc -> max acc lc.Recorder.lc_uid) (-1) lcs in
-  let instant_tid = max_uid + 1 in
-  List.iter
-    (fun (lc : Recorder.lifecycle) ->
-      List.iter
-        (fun (sp : Recorder.span) ->
-          let t1 = if Float.is_nan sp.Recorder.s_to then t_end else sp.Recorder.s_to in
-          if sp.Recorder.s_phase <> Recorder.P_finished && t1 >= sp.Recorder.s_from then
-            push
-              {
-                name = Recorder.phase_name sp.Recorder.s_phase;
-                cat = "ult";
-                ph = "X";
-                ts = us sp.Recorder.s_from;
-                dur = Some (us (t1 -. sp.Recorder.s_from));
-                pid = flight_pid;
-                tid = lc.Recorder.lc_uid;
-                args = [];
-              })
-        lc.Recorder.lc_spans)
-    lcs;
-  Array.iter
-    (fun (e : Recorder.event) ->
-      let c = e.Recorder.e_code in
-      if
-        c = Recorder.ev_sig_post || c = Recorder.ev_preempt_req
-        || c = Recorder.ev_preempt_done || c = Recorder.ev_timer_fire
-        || c = Recorder.ev_steal || c = Recorder.ev_klt_remap
-        || c = Recorder.ev_pool_steal || c = Recorder.ev_quantum_change
-      then
-        push
-          {
-            name = Recorder.code_name c;
-            cat = "flight";
-            ph = "i";
-            ts = us e.Recorder.e_ts;
-            dur = None;
-            pid = flight_pid;
-            tid = instant_tid;
-            args =
-              [
-                ("ring", A_num (float_of_int e.Recorder.e_ring));
-                ("a", A_num (float_of_int e.Recorder.e_a));
-                ("b", A_num (float_of_int e.Recorder.e_b));
-              ];
-          })
-    evs;
-  ignore (request_events evs ~t_end push : bool);
-  if !events <> [] then begin
-    push
-      {
-        name = "process_name";
-        cat = "__metadata";
-        ph = "M";
-        ts = 0.0;
-        dur = None;
-        pid = flight_pid;
-        tid = 0;
-        args = [ ("name", A_str "flight-recorder") ];
-      };
-    List.iter
-      (fun (lc : Recorder.lifecycle) ->
-        push
-          {
-            name = "thread_name";
-            cat = "__metadata";
-            ph = "M";
-            ts = 0.0;
-            dur = None;
-            pid = flight_pid;
-            tid = lc.Recorder.lc_uid;
-            args = [ ("name", A_str (Printf.sprintf "ult%d" lc.Recorder.lc_uid)) ];
-          })
-      lcs;
-    push
-      {
-        name = "thread_name";
-        cat = "__metadata";
-        ph = "M";
-        ts = 0.0;
-        dur = None;
-        pid = flight_pid;
-        tid = instant_tid;
-        args = [ ("name", A_str "preemption events") ];
-      }
-  end;
+  kernel_events ?metrics evs ~t_end push;
+  ult_events evs ~t_end push;
+  request_events evs ~t_end push;
   List.rev !events
 
 (* ------------------------------------------------------------------ *)

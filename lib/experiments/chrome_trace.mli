@@ -1,15 +1,8 @@
 (** Chrome [trace_events] JSON exporter.
 
-    Converts a {!Desim.Trace} buffer (via {!Gantt} core occupancy) plus
-    an optional {!Preempt_core.Metrics.snapshot} into a file loadable in
-    [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}:
-
-    - every occupied core span becomes a complete ("X") duration event
-      on track [tid = core] (so the Gantt chart renders natively),
-    - every other trace record (signals, migrations, worker
-      suspend/resume, load balancing) becomes an instant ("i") event,
-    - metric counters become one counter ("C") event per worker.
-
+    Converts a decoded flight record ({!Preempt_core.Recorder.events})
+    plus an optional {!Preempt_core.Metrics.snapshot} into a file
+    loadable in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}.
     Timestamps are microseconds, as the format requires.  The output is
     the JSON Object Format: [{"traceEvents": [...]}].
 
@@ -31,34 +24,34 @@ type event = {
   args : (string * arg) list;
 }
 
-(** [of_trace ~cores trace] builds the event list.  [t_end] (default:
-    the last record's timestamp) closes still-open spans.  [metrics]
-    appends per-worker counter events at [t_end].  An empty trace with
-    no metrics yields [[]]. *)
-val of_trace :
-  cores:int ->
-  ?metrics:Preempt_core.Metrics.snapshot ->
-  ?t_end:float ->
-  Desim.Trace.t ->
-  event list
+(** [of_flight ?metrics evs] renders a decoded flight record
+    ({!Preempt_core.Recorder.events} or a loaded dump) as up to three
+    Perfetto processes:
 
-(** [of_flight evs] renders a decoded flight record
-    ({!Preempt_core.Recorder.events} or a loaded dump) as one lane per
-    ULT — its reconstructed lifecycle phases (ready / running / bound /
-    blocked) as complete events — plus an instant lane for the
-    preemption machinery (timer fires, signal posts, preemption
-    requests/completions, steals, KLT remaps).  Uses [pid = 2], so the
-    result can be appended to an {!of_trace} list (which uses [pid = 1])
-    and viewed in one Perfetto session.
+    - [pid = 1] ("preempt-sim"), from the simulated kernel's events:
+      one lane per core ([tid] = core) whose complete ("X") events name
+      the KLT holding it, [klt<id>], from its [klt-dispatch] to its
+      next [klt-block], [klt-preempt] or [klt-exit] (see {!Gantt}); an
+      instant ("i") lane ([tid] = number of cores) for signal
+      deliveries, KLT preemptions, exits and migrations, newidle pulls
+      and balance moves; and, given [metrics], one counter ("C") event
+      per worker at the end of the record.
+    - [pid = 2] ("flight-recorder"): one lane per ULT ([ult<uid>]) with
+      its reconstructed lifecycle phases (ready / running / bound /
+      blocked) as complete events, plus an instant lane for the
+      preemption machinery (timer fires, signal posts, preemption
+      requests/completions, steals, KLT remaps).
+    - [pid = 3] ("requests"), when the record carries per-request span
+      events ([Recorder.ev_req_arrival] .. [ev_req_done], emitted by a
+      recorder-armed serving run): one lane per request id with
+      queued / running / preempted slices reconstructed from its span
+      events.
 
-    When the record carries per-request span events
-    ([Recorder.ev_req_arrival] .. [ev_req_done], emitted by a
-    recorder-armed serving run), the requests additionally render as a
-    third Perfetto process ([pid = 3], named "requests"): one lane per
-    request id with queued / running / preempted slices reconstructed
-    from its span events.  Slices whose closing event was overwritten
-    by ring wraparound extend to the end of the record. *)
-val of_flight : Preempt_core.Recorder.event array -> event list
+    Spans still open at the end of the record (or whose closing event
+    was overwritten by ring wraparound) extend to the last event's
+    timestamp.  An empty record with no metrics yields [[]]. *)
+val of_flight :
+  ?metrics:Preempt_core.Metrics.snapshot -> Preempt_core.Recorder.event array -> event list
 
 (** Serialize to the Chrome JSON Object Format. *)
 val to_json : event list -> string

@@ -74,11 +74,11 @@ let par_map f xs =
 
 (* ------------------------------------------------------------------ *)
 (* Observability requests (--metrics / --chrome-trace) from the repro
-   and bench front ends.  Experiments opt in by creating their kernels
-   through [Obs.kernel], their configs through [Obs.config], and calling
-   [Obs.capture rt] after each run; the front end then calls
-   [Obs.report ()] once, which prints the metrics of the last captured
-   run and/or writes its Chrome trace. *)
+   and bench front ends.  Experiments opt in by creating their configs
+   through [Obs.config] and calling [Obs.capture rt] after each run; the
+   front end then calls [Obs.report ()] once, which prints the metrics
+   of the last captured run and/or writes its Chrome trace, rendered
+   from that run's flight record. *)
 module Obs = struct
   let metrics : bool ref = ref false
 
@@ -86,31 +86,22 @@ module Obs = struct
 
   let requested () = !metrics || !chrome_trace <> None
 
-  let kernel eng machine =
-    if !chrome_trace <> None then begin
-      let tr = Desim.Trace.create () in
-      Desim.Trace.enable tr;
-      Oskern.Kernel.create ~trace:tr eng machine
-    end
-    else Oskern.Kernel.create eng machine
+  (* Events per recorder ring when a Chrome trace is requested.  The
+     kernel's events all land in the global ring, the fullest one: the
+     last run of Fig. 4's full preset (112 workers, 100 intervals) puts
+     11.6k events there, Table 1's 2k, so neither wraps. *)
+  let trace_capacity = 16_384
 
   let config (c : Preempt_core.Config.t) =
-    if !metrics then { c with Preempt_core.Config.metrics_enabled = true } else c
+    let c = if !metrics then { c with Preempt_core.Config.metrics_enabled = true } else c in
+    if !chrome_trace <> None then
+      { c with Preempt_core.Config.recorder_enabled = true; recorder_capacity = trace_capacity }
+    else c
 
-  (* Latest instrumented run: (trace, cores, t_end, metrics snapshot). *)
-  let last : (Desim.Trace.t * int * float * Preempt_core.Metrics.snapshot) option ref =
-    ref None
+  (* Latest instrumented run. *)
+  let last : Preempt_core.Runtime.t option ref = ref None
 
-  let capture rt =
-    if requested () then begin
-      let kernel = Preempt_core.Runtime.kernel rt in
-      last :=
-        Some
-          ( Oskern.Kernel.trace kernel,
-            (Oskern.Kernel.machine kernel).Oskern.Machine.cores,
-            Oskern.Kernel.now kernel,
-            Preempt_core.Runtime.metrics rt )
-    end
+  let capture rt = if requested () then last := Some rt
 
   let report () =
     match !last with
@@ -118,14 +109,17 @@ module Obs = struct
         if requested () then
           print_endline
             "(--metrics/--chrome-trace: this experiment has no instrumented runtime run)"
-    | Some (tr, cores, t_end, snap) ->
+    | Some rt ->
+        let snap = Preempt_core.Runtime.metrics rt in
         if !metrics then begin
           subheading "runtime metrics (--metrics, last configuration measured)";
           print_string (Preempt_core.Metrics.summary snap)
         end;
         (match !chrome_trace with
         | Some path ->
-            let events = Chrome_trace.of_trace ~cores ~metrics:snap ~t_end tr in
+            let events =
+              Chrome_trace.of_flight ~metrics:snap (Preempt_core.Runtime.flight_events rt)
+            in
             Chrome_trace.write ~path events;
             Printf.printf
               "chrome trace: %d events -> %s (load in chrome://tracing or ui.perfetto.dev)\n"

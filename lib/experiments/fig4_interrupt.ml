@@ -28,7 +28,7 @@ let measure ~workers ~strategy ~intervals =
   let eng = Engine.create () in
   (* Up to 112 workers: treat hyperthreads as cores, as the paper does. *)
   let machine = Machine.with_cores Machine.skylake workers in
-  let kernel = Exputil.Obs.kernel eng machine in
+  let kernel = Kernel.create eng machine in
   let interval = 1e-3 in
   let config =
     Exputil.Obs.config { Config.default with Config.timer_strategy = strategy; interval }

@@ -2,45 +2,39 @@ type segment = { from_t : float; name : string }
 
 type t = { cores : int; lanes : segment list array (* newest first *) }
 
-(* Trace details: dispatch = "<name> on core<k>"; exit = "<name>";
-   preempt = "<name>".  Occupancy changes on dispatch; an exit or
-   preempt of the current occupant frees the core until the next
-   dispatch. *)
-let parse_dispatch detail =
-  match String.rindex_opt detail ' ' with
-  | None -> None
-  | Some i ->
-      let target = String.sub detail (i + 1) (String.length detail - i - 1) in
-      if String.length target > 4 && String.sub target 0 4 = "core" then
-        let name = String.sub detail 0 (String.index detail ' ') in
-        match int_of_string_opt (String.sub target 4 (String.length target - 4)) with
-        | Some core -> Some (name, core)
-        | None -> None
-      else None
+module R = Preempt_core.Recorder
 
-let of_trace ~cores trace =
+(* Occupancy changes on a dispatch; a block, preempt or exit of the
+   current occupant frees the core until the next dispatch.  Only the
+   dispatch names its core reliably (a block does not), so the release
+   codes are matched by KLT id. *)
+let of_trace (evs : R.event array) =
+  let cores =
+    Array.fold_left
+      (fun n (e : R.event) -> if e.e_code = R.ev_klt_dispatch then max n (e.e_b + 1) else n)
+      0 evs
+  in
   let lanes = Array.make cores [] in
-  let current = Array.make cores None in
-  List.iter
-    (fun (r : Desim.Trace.record) ->
-      match r.tag with
-      | "dispatch" -> (
-          match parse_dispatch r.detail with
-          | Some (name, core) when core < cores ->
-              lanes.(core) <- { from_t = r.time; name } :: lanes.(core);
-              current.(core) <- Some name
-          | _ -> ())
-      | "exit" | "preempt" ->
-          Array.iteri
-            (fun c occ ->
-              if occ = Some r.detail then begin
-                lanes.(c) <- { from_t = r.time; name = "" } :: lanes.(c);
-                current.(c) <- None
-              end)
-            current
-      | _ -> ())
-    (Desim.Trace.records trace);
+  let current = Array.make cores (-1) in
+  Array.iter
+    (fun (e : R.event) ->
+      let c = e.e_code in
+      if c = R.ev_klt_dispatch then begin
+        lanes.(e.e_b) <- { from_t = e.e_ts; name = Printf.sprintf "klt%d" e.e_a } :: lanes.(e.e_b);
+        current.(e.e_b) <- e.e_a
+      end
+      else if c = R.ev_klt_block || c = R.ev_klt_preempt || c = R.ev_klt_exit then
+        Array.iteri
+          (fun core k ->
+            if k = e.e_a then begin
+              lanes.(core) <- { from_t = e.e_ts; name = "" } :: lanes.(core);
+              current.(core) <- -1
+            end)
+          current)
+    evs;
   { cores; lanes }
+
+let cores t = t.cores
 
 let spans t ~t_end =
   let out = ref [] in

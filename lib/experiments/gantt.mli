@@ -1,14 +1,23 @@
 (** ASCII Gantt charts of simulated core occupancy, reconstructed from
-    the kernel trace ("dispatch"/"exit" records).
+    the kernel events of a flight record.
 
-    Each core is a lane; each time bucket shows a glyph identifying the
-    KLT that occupied the core (the most recent dispatch), or '.' when
-    idle.  A legend maps glyphs to KLT names. *)
+    A KLT holds a core from its [klt-dispatch] to its next [klt-block],
+    [klt-preempt] or [klt-exit] ({!Oskern.Kernel}'s observer codes, as
+    the runtime's recorder stores them).  Each core is a lane; each time
+    bucket shows a glyph identifying the KLT that occupied the core, or
+    '.' when idle.  KLTs are named [klt<id>]; a legend maps glyphs to
+    names. *)
 
 type t
 
-(** [of_trace ~cores trace] replays the trace into per-core timelines. *)
-val of_trace : cores:int -> Desim.Trace.t -> t
+(** [of_trace events] replays the kernel events of a decoded flight
+    record ({!Preempt_core.Recorder.events} or a loaded dump) into
+    per-core timelines.  The number of cores is one more than the
+    highest core a [klt-dispatch] names. *)
+val of_trace : Preempt_core.Recorder.event array -> t
+
+(** Number of core lanes. *)
+val cores : t -> int
 
 (** [render ~t0 ~t1 ~width t] draws the window [t0, t1) in [width]
     buckets per lane. *)
@@ -19,6 +28,7 @@ val occupant : t -> core:int -> time:float -> string option
 
 (** [spans t ~t_end] flattens the lanes into occupied intervals
     [(core, klt_name, t0, t1)], time-ascending within each core.  A span
-    still open at the end of the trace is closed at [t_end] (clamped so
-    [t1 >= t0]).  This is the input of the Chrome trace exporter. *)
+    still open at the end of the record is closed at [t_end] (clamped so
+    [t1 >= t0]).  This is the input of the Chrome trace exporter's core
+    lanes. *)
 val spans : t -> t_end:float -> (int * string * float * float) list

@@ -43,7 +43,7 @@ let one_to_one machine ~preemptions =
 
 let mn machine ~kind ~preemptions =
   let eng = Engine.create () in
-  let kernel = Exputil.Obs.kernel eng (Machine.with_cores machine 1) in
+  let kernel = Kernel.create eng (Machine.with_cores machine 1) in
   let interval = 10e-3 in
   let config =
     Exputil.Obs.config

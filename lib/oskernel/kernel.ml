@@ -20,7 +20,6 @@ type t = {
   signal_lock : Sync.Mutex.t;
   handlers : (int, t -> klt -> unit) Hashtbl.t;
   mutable next_kid : int;
-  tr : Trace.t;
   mutable balance_running : bool;
   mutable delivered : int;
 }
@@ -32,8 +31,6 @@ let machine t = t.machine
 let costs t = t.c
 
 let now t = Engine.now t.eng
-
-let trace t = t.tr
 
 let klt_id k = k.kid
 
@@ -55,28 +52,35 @@ let signals_delivered t = t.delivered
 
 let total_busy_time t = Array.fold_left ( +. ) 0.0 t.busy_time
 
-let emit t tag detail = Trace.emit t.tr (now t) tag detail
+(* Flight-recorder hook: every kernel event is reported through the
+   engine's observer as an int-coded record, so the runtime's recorder
+   (a layer the kernel cannot depend on) can fold it into its rings.
+   The codes are the recorder's own event numbers, which bind to these;
+   16-21 keep the values saved dumps carry, and 31 up follow the
+   recorder's last runtime code (30).  With no observer installed each
+   site costs one option check. *)
 
-(* Guard for emit sites that format their detail: a disabled trace
-   records nothing, so the text need not be built. *)
-let tracing t = Trace.enabled t.tr
+let obs_timer_fire = 16 (* a = target klt id (-1 skipped), b = fire count *)
 
-(* Flight-recorder hook: kernel-level events are reported through the
-   engine's observer as int-coded records, so the runtime's recorder
-   (a layer the kernel cannot depend on) can fold them into its rings.
-   With no observer installed each site costs one option check. *)
+let obs_sig_deliver = 17 (* a = klt id, b = signo *)
 
-let obs_timer_fire = 1 (* a = target klt id (-1 skipped), b = fire count *)
+let obs_futex_wait = 18 (* a = klt id *)
 
-let obs_sig_deliver = 2 (* a = klt id, b = signo *)
+let obs_futex_wake = 19 (* a = woken, b = requested *)
 
-let obs_futex_wait = 3 (* a = klt id *)
+let obs_klt_dispatch = 20 (* a = klt id, b = core *)
 
-let obs_futex_wake = 4 (* a = woken, b = requested *)
+let obs_klt_block = 21 (* a = klt id *)
 
-let obs_klt_dispatch = 5 (* a = klt id, b = core *)
+let obs_klt_exit = 31 (* a = klt id, b = core it left (-1 none) *)
 
-let obs_klt_block = 6 (* a = klt id *)
+let obs_klt_preempt = 32 (* a = klt id, b = core it left *)
+
+let obs_klt_migrate = 33 (* a = klt id, b = core it is dispatched on *)
+
+let obs_newidle_pull = 34 (* a = klt id, b = idle core that pulled it *)
+
+let obs_balance_move = 35 (* a = klt id, b = core it was moved to *)
 
 let obs t code a b =
   match Engine.observer t.eng with
@@ -226,15 +230,13 @@ and dispatch t core =
               klt.kacct.pending_overhead
               +. (t.c.migration_cache_penalty *. hotness *. klt.kacct.kfootprint);
             klt.kacct.cpu_since_move <- 0.0;
-            if tracing t then
-              emit t "migrate" (Printf.sprintf "%s -> core%d" klt.kname core.cid)
+            obs t obs_klt_migrate klt.kid core.cid
           end;
           klt.last_core <- core.cid;
           if core.last_klt <> klt.kid then
             klt.kacct.pending_overhead <- klt.kacct.pending_overhead +. t.c.klt_ctx_switch;
           core.last_klt <- klt.kid;
           set_slice t core;
-          if tracing t then emit t "dispatch" (Printf.sprintf "%s on core%d" klt.kname core.cid);
           obs t obs_klt_dispatch klt.kid core.cid;
           (match klt.on_dispatch with
           | Some resume ->
@@ -263,9 +265,7 @@ and newidle_balance t core =
     | Some (load, other, k) when load >= 2 ->
         queue_remove other k;
         queue_insert core k;
-        if tracing t then
-          emit t "newidle"
-            (Printf.sprintf "core%d pulls %s from core%d" core.cid k.kname other.cid);
+        obs t obs_newidle_pull k.kid core.cid;
         dispatch t core
     | _ -> ()
   end
@@ -365,7 +365,7 @@ let preempt_self t klt =
       let core = t.cores.(cid) in
       core.current <- None;
       core.last_klt <- klt.kid;
-      emit t "preempt" klt.kname;
+      obs t obs_klt_preempt klt.kid cid;
       if Cpuset.mem klt.affinity core.cid then begin
         enqueue t core klt;
         dispatch t core
@@ -422,7 +422,6 @@ let rec process_signals t klt =
       Sync.Mutex.unlock t.signal_lock;
       charge_running t klt t.c.signal_handler_entry;
       t.delivered <- t.delivered + 1;
-      if tracing t then emit t "signal" (Printf.sprintf "%s <- sig%d" klt.kname signo);
       obs t obs_sig_deliver klt.kid signo;
       sigblock t klt signo;
       (match Hashtbl.find_opt t.handlers signo with
@@ -737,9 +736,7 @@ let rec balance_tick t =
            | Some k ->
                queue_remove !busiest k;
                queue_insert !idlest k;
-               if tracing t then
-                 emit t "balance"
-                   (Printf.sprintf "%s core%d -> core%d" k.kname !busiest.cid !idlest.cid);
+               obs t obs_balance_move k.kid !idlest.cid;
                if !idlest.current = None then dispatch t !idlest;
                true
            | None -> false
@@ -752,12 +749,12 @@ let rec balance_tick t =
 (* KLT lifecycle. *)
 
 let exit_klt t klt =
+  obs t obs_klt_exit klt.kid (match klt.core with Some c -> c | None -> -1);
   release_core t klt ~reason:(`Blocked "exiting");
   klt.state <- Zombie;
   let waiters = klt.exit_waiters in
   klt.exit_waiters <- [];
-  List.iter (fun f -> f ()) waiters;
-  emit t "exit" klt.kname
+  List.iter (fun f -> f ()) waiters
 
 let spawn t ?(nice = 0) ?affinity ?creator ~name body =
   let affinity =
@@ -967,8 +964,7 @@ end
 (* ------------------------------------------------------------------ *)
 (* Periodic load balancing. *)
 
-let create ?trace eng machine =
-  let tr = match trace with Some tr -> tr | None -> Trace.create () in
+let create eng machine =
   let n = machine.Machine.cores in
   let cores =
     Array.init n (fun cid ->
@@ -994,7 +990,6 @@ let create ?trace eng machine =
       signal_lock = Sync.Mutex.create ();
       handlers = Hashtbl.create 16;
       next_kid = 0;
-      tr;
       balance_running = false;
       delivered = 0;
     }

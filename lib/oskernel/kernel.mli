@@ -14,7 +14,7 @@ type klt
 
 (** {1 Construction} *)
 
-val create : ?trace:Desim.Trace.t -> Desim.Engine.t -> Machine.t -> t
+val create : Desim.Engine.t -> Machine.t -> t
 
 val engine : t -> Desim.Engine.t
 
@@ -23,8 +23,6 @@ val machine : t -> Machine.t
 val costs : t -> Machine.costs
 
 val now : t -> float
-
-val trace : t -> Desim.Trace.t
 
 (** {1 KLTs} *)
 
@@ -222,13 +220,17 @@ end
 
 (** {1 Observer event codes}
 
-    The kernel reports low-level events — timer expiries, signal
-    deliveries, futex sleeps/wakes, KLT dispatches and blocks — through
-    the engine's observer hook ({!Desim.Engine.set_observer}) as
-    [(ts, code, a, b)] records, using the codes below.  The runtime's
-    flight recorder installs the observer and folds these into its event
-    rings; with no observer installed each site costs one option
-    check. *)
+    The kernel reports every event it has — timer expiries, signal
+    deliveries, futex sleeps/wakes, KLTs taken on and off cores, and
+    the scheduler's migrations — through the engine's observer hook
+    ({!Desim.Engine.set_observer}) as [(ts, code, a, b)] records, using
+    the codes below.  They are the flight recorder's own event numbers
+    ([Preempt_core.Recorder.ev_timer_fire] and the rest bind to them),
+    so the runtime's observer stores them unchanged.  A KLT holds a
+    core from its {!obs_klt_dispatch} to the next {!obs_klt_block},
+    {!obs_klt_preempt} or {!obs_klt_exit} of the same id, which is how
+    [Experiments.Gantt] redraws core occupancy.  With no observer
+    installed each site costs one option check. *)
 
 (** Timer expiry evaluated: [a] = target klt id ([-1] when the expiry
     was skipped), [b] = cumulative fire count of that timer. *)
@@ -248,6 +250,26 @@ val obs_klt_dispatch : int
 
 (** KLT blocks (releases its core): [a] = klt id. *)
 val obs_klt_block : int
+
+(** KLT exits: [a] = klt id, [b] = the core it held ([-1] if none). *)
+val obs_klt_exit : int
+
+(** KLT preempted off its core (slice end or wake-up preemption) and
+    requeued: [a] = klt id, [b] = the core it left. *)
+val obs_klt_preempt : int
+
+(** KLT dispatched on a core other than the one it last ran on (it
+    pays the cache-refill cost): [a] = klt id, [b] = the new core.
+    Reported just before that dispatch. *)
+val obs_klt_migrate : int
+
+(** Newly idle core pulled a queued KLT from the busiest core:
+    [a] = klt id, [b] = the pulling core. *)
+val obs_newidle_pull : int
+
+(** Periodic load balancing moved a queued KLT: [a] = klt id, [b] =
+    the core it was moved to. *)
+val obs_balance_move : int
 
 (** {1 Metrics} *)
 

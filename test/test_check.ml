@@ -266,6 +266,13 @@ let test_lost_wakeup_caught () =
      one forced pick, and replaying it still deadlocks. *)
   Alcotest.(check bool) "shrunk schedule still forces choices" true
     (Check.Trail.forced cx.Check.cx_trail > 0);
+  (* The Chrome trace is drawn from the same flight record, core lanes
+     included. *)
+  (match Experiments.Chrome_trace.validate cx.Check.cx_trace with
+  | Ok n -> Alcotest.(check bool) "cx_trace has events" true (n > 0)
+  | Error e -> Alcotest.failf "cx_trace rejected: %s" e);
+  Alcotest.(check bool) "cx_trace has core lanes" true
+    (Astring_contains.contains cx.Check.cx_trace "\"cat\":\"klt\"");
   let cxr =
     violation_of "trail replay" (Check.replay cx s.Check.Scenarios.prog)
   in

@@ -1,6 +1,6 @@
 (* The Chrome trace_events exporter: schema validity of a real export,
    an exact round-trip of a hand-built three-span Gantt, and the empty
-   trace.  All JSON checks go through the bundled parser, as a consumer
+   record.  All JSON checks go through the bundled parser, as a consumer
    of the files would. *)
 
 open Desim
@@ -29,17 +29,24 @@ let field name ev =
 
 (* ------------------------------------------------------------------ *)
 
+let ev seq ts code a b =
+  { Recorder.e_ts = ts; e_ring = 1; e_seq = seq; e_code = code; e_a = a; e_b = b }
+
 let test_roundtrip_gantt () =
   (* Two cores, three occupied spans:
-       core0: A from 1ms to 3ms, C from 4ms to the 5ms horizon
-       core1: B from 2ms to the 5ms horizon *)
-  let tr = Trace.create () in
-  Trace.enable tr;
-  Trace.emit tr 1e-3 "dispatch" "A on core0";
-  Trace.emit tr 2e-3 "dispatch" "B on core1";
-  Trace.emit tr 3e-3 "exit" "A";
-  Trace.emit tr 4e-3 "dispatch" "C on core0";
-  let events = CT.of_trace ~cores:2 ~t_end:5e-3 tr in
+       core0: klt0 from 1ms to its exit at 3ms, klt2 from 4ms to the
+              end of the record
+       core1: klt1 from 2ms to its block at 5ms (the last event) *)
+  let evs =
+    [|
+      ev 0 1e-3 Recorder.ev_klt_dispatch 0 0;
+      ev 1 2e-3 Recorder.ev_klt_dispatch 1 1;
+      ev 2 3e-3 Recorder.ev_klt_exit 0 0;
+      ev 3 4e-3 Recorder.ev_klt_dispatch 2 0;
+      ev 4 5e-3 Recorder.ev_klt_block 1 0;
+    |]
+  in
+  let events = CT.of_flight evs in
   let json = CT.to_json events in
   (match CT.validate json with
   | Ok _ -> ()
@@ -48,8 +55,9 @@ let test_roundtrip_gantt () =
     events_of_json json
     |> List.filter (fun ev -> str (field "ph" ev) = "X")
     |> List.map (fun ev ->
-           Printf.sprintf "%s tid=%.0f ts=%.1f dur=%.1f"
+           Printf.sprintf "%s pid=%.0f tid=%.0f ts=%.1f dur=%.1f"
              (str (field "name" ev))
+             (num (field "pid" ev))
              (num (field "tid" ev))
              (num (field "ts" ev))
              (num (field "dur" ev)))
@@ -58,16 +66,22 @@ let test_roundtrip_gantt () =
   (* Timestamps are microseconds in the file. *)
   Alcotest.(check (list string)) "spans survive the round trip"
     [
-      "A tid=0 ts=1000.0 dur=2000.0";
-      "B tid=1 ts=2000.0 dur=3000.0";
-      "C tid=0 ts=4000.0 dur=1000.0";
+      "klt0 pid=1 tid=0 ts=1000.0 dur=2000.0";
+      "klt1 pid=1 tid=1 ts=2000.0 dur=3000.0";
+      "klt2 pid=1 tid=0 ts=4000.0 dur=1000.0";
     ]
-    xs
+    xs;
+  (* The exit is a kernel instant on the lane above the two cores. *)
+  let instants =
+    events_of_json json
+    |> List.filter (fun ev -> str (field "ph" ev) = "i")
+    |> List.map (fun ev -> (str (field "name" ev), num (field "tid" ev)))
+  in
+  Alcotest.(check (list (pair string (float 0.0)))) "kernel instants" [ ("klt-exit", 2.0) ]
+    instants
 
 let test_empty_trace () =
-  let tr = Trace.create () in
-  Trace.enable tr;
-  let events = CT.of_trace ~cores:2 tr in
+  let events = CT.of_flight [||] in
   Alcotest.(check int) "no events" 0 (List.length events);
   let json = CT.to_json events in
   (match CT.validate json with
@@ -81,18 +95,19 @@ let test_empty_trace () =
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 let test_real_export () =
-  (* A preemptive 2-worker run with kernel tracing and metrics on; the
-     export must pass the validator and contain every phase kind. *)
+  (* A preemptive 2-worker KLT-switching run with the recorder and
+     metrics on; the export must pass the validator, contain every
+     phase kind, and draw core lanes (pid 1, named by KLT id), ULT
+     lanes (pid 2) and kernel instants. *)
   let eng = Engine.create () in
-  let tr = Trace.create () in
-  Trace.enable tr;
-  let kernel = Kernel.create ~trace:tr eng (Machine.with_cores Machine.skylake 2) in
+  let kernel = Kernel.create eng (Machine.with_cores Machine.skylake 2) in
   let config =
     {
       Config.default with
       Config.timer_strategy = Config.Per_worker_aligned;
       interval = 1e-3;
       metrics_enabled = true;
+      recorder_enabled = true;
     }
   in
   let rt = Runtime.create ~config kernel ~n_workers:2 in
@@ -104,23 +119,40 @@ let test_real_export () =
   done;
   Runtime.start rt;
   Engine.run ~until:1.0 eng;
-  let events =
-    CT.of_trace ~cores:2 ~metrics:(Runtime.metrics rt) ~t_end:(Kernel.now kernel) tr
-  in
+  Alcotest.(check int) "record did not wrap" 0
+    (Recorder.total_overwritten (Runtime.recorder rt));
+  let events = CT.of_flight ~metrics:(Runtime.metrics rt) (Runtime.flight_events rt) in
   let json = CT.to_json events in
   (match CT.validate json with
   | Ok n ->
       Alcotest.(check int) "validator count agrees" (List.length events) n;
       Alcotest.(check bool) "nonempty" true (n > 0)
   | Error e -> Alcotest.failf "real export rejected: %s" e);
-  let phases =
-    events_of_json json |> List.map (fun ev -> str (field "ph" ev))
-  in
+  let evs = events_of_json json in
+  let phases = List.map (fun ev -> str (field "ph" ev)) evs in
   List.iter
     (fun ph ->
       Alcotest.(check bool) (Printf.sprintf "has %s events" ph) true
         (List.mem ph phases))
     [ "X"; "i"; "C"; "M" ];
+  let has what p = Alcotest.(check bool) what true (List.exists p evs) in
+  let is ph pid cat ev =
+    str (field "ph" ev) = ph && num (field "pid" ev) = pid && str (field "cat" ev) = cat
+  in
+  has "core lanes at pid 1" (is "X" 1.0 "klt");
+  has "core lanes named by KLT id" (fun ev ->
+      is "X" 1.0 "klt" ev && String.starts_with ~prefix:"klt" (str (field "name" ev)));
+  has "ULT lanes at pid 2" (is "X" 2.0 "ult");
+  has "kernel instants at pid 1" (is "i" 1.0 "kernel");
+  (* More KLTs than cores ran: each KLT switch hands the core to a
+     pooled KLT. *)
+  let klts =
+    List.filter_map
+      (fun ev -> if is "X" 1.0 "klt" ev then Some (str (field "name" ev)) else None)
+      evs
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check bool) "KLT switches visible" true (List.length klts > 2);
   (* Every ts is finite and non-negative; X durs are non-negative. *)
   List.iter
     (fun ev ->
@@ -128,7 +160,7 @@ let test_real_export () =
       Alcotest.(check bool) "ts sane" true (Float.is_finite ts && ts >= 0.0);
       if str (field "ph" ev) = "X" then
         Alcotest.(check bool) "dur sane" true (num (field "dur" ev) >= 0.0))
-    (events_of_json json)
+    evs
 
 let test_validator_rejects () =
   let bad =

@@ -202,7 +202,7 @@ let check_budget = 200
 
 let checked_rt (env : Check.env) =
   let kernel =
-    Kernel.create ~trace:env.Check.trace env.Check.eng
+    Kernel.create env.Check.eng
       (Machine.with_cores Machine.skylake 2)
   in
   let config =
@@ -241,7 +241,7 @@ let test_mutex_counter_checked () =
               done))
     in
     Runtime.start rt;
-    Check.program ~runtime:rt ~ults:us ~cores:2
+    Check.program ~runtime:rt ~ults:us
       ~oracle:(fun () ->
         Check.all_finished rt;
         Check.require
@@ -281,7 +281,7 @@ let test_channel_spmc_checked () =
           done)
     in
     Runtime.start rt;
-    Check.program ~runtime:rt ~ults:(prod :: cs) ~cores:2
+    Check.program ~runtime:rt ~ults:(prod :: cs)
       ~oracle:(fun () ->
         Check.all_finished rt;
         Check.require
@@ -326,7 +326,7 @@ let test_pipeline_checked () =
           done)
     in
     Runtime.start rt;
-    Check.program ~runtime:rt ~ults:[ squarer; summer; feeder ] ~cores:2
+    Check.program ~runtime:rt ~ults:[ squarer; summer; feeder ]
       ~oracle:(fun () ->
         Check.all_finished rt;
         Check.require

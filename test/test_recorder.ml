@@ -91,6 +91,54 @@ let test_decode_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated dump decoded"
 
+(* The kernel's observer codes are the recorder's: the six that saved
+   dumps carry keep their numbers, every code has a name of its own,
+   and each survives a dump. *)
+let test_kernel_codes () =
+  let module K = Oskern.Kernel in
+  let kernel =
+    [
+      (Recorder.ev_timer_fire, K.obs_timer_fire, 16);
+      (Recorder.ev_sig_deliver, K.obs_sig_deliver, 17);
+      (Recorder.ev_futex_wait, K.obs_futex_wait, 18);
+      (Recorder.ev_futex_wake, K.obs_futex_wake, 19);
+      (Recorder.ev_klt_dispatch, K.obs_klt_dispatch, 20);
+      (Recorder.ev_klt_block, K.obs_klt_block, 21);
+      (Recorder.ev_klt_exit, K.obs_klt_exit, 31);
+      (Recorder.ev_klt_preempt, K.obs_klt_preempt, 32);
+      (Recorder.ev_klt_migrate, K.obs_klt_migrate, 33);
+      (Recorder.ev_newidle_pull, K.obs_newidle_pull, 34);
+      (Recorder.ev_balance_move, K.obs_balance_move, 35);
+    ]
+  in
+  List.iter
+    (fun (ev, obs, n) ->
+      Alcotest.(check int) (Printf.sprintf "code %d bound to the kernel's" n) obs ev;
+      Alcotest.(check int) (Printf.sprintf "code %d number" n) n ev)
+    kernel;
+  let codes =
+    List.sort_uniq compare (List.init 30 (fun i -> i + 1) @ List.map (fun (ev, _, _) -> ev) kernel)
+  in
+  let names = List.map Recorder.code_name codes in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " is named") false (String.starts_with ~prefix:"code" n))
+    names;
+  Alcotest.(check int) "names distinct" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let t = Recorder.create ~n_workers:1 ~capacity:64 in
+  Recorder.set_enabled t true;
+  List.iteri
+    (fun i (ev, _, _) -> Recorder.emit t (Recorder.global_ring t) (float_of_int i) ev i (-i))
+    kernel;
+  match Recorder.decode (Recorder.encode t) with
+  | Error e -> Alcotest.failf "dump does not decode: %s" e
+  | Ok d ->
+      Alcotest.(check (list (triple int int int))) "kernel events round-trip"
+        (List.mapi (fun i (ev, _, _) -> (ev, i, -i)) kernel)
+        (Array.to_list d.Recorder.d_events
+        |> List.map (fun e -> (e.Recorder.e_code, e.Recorder.e_a, e.Recorder.e_b)))
+
 (* Hand-built stream through the lifecycle state machine: spawn ->
    ready -> run -> preempt -> run -> block -> wake -> run -> finish. *)
 let test_lifecycle_reconstruction () =
@@ -261,6 +309,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest wraparound_check;
     Alcotest.test_case "decode rejects garbage" `Quick test_decode_garbage;
+    Alcotest.test_case "kernel codes named and round-trip" `Quick test_kernel_codes;
     Alcotest.test_case "lifecycle reconstruction" `Quick
       test_lifecycle_reconstruction;
     Alcotest.test_case "attribution matches sig_to_switch" `Quick

@@ -112,7 +112,7 @@ let prop_main_queued_exact =
           bad := Some (Engine.now (Kernel.engine rt.Types.kernel), sum, rt.Types.main_queued)
       in
       let probe rt =
-        let eng = Kernel.engine (Runtime.kernel rt) in
+        let eng = Kernel.engine rt.Types.kernel in
         let rec tick () =
           check rt;
           if not (Runtime.is_stopping rt) then ignore (Engine.after eng 37e-6 tick)

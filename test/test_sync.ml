@@ -49,23 +49,9 @@ let test_mutex_waiters () =
   Engine.run e;
   Alcotest.(check int) "drained" 0 (Sync.Mutex.waiters m)
 
-let test_trace () =
-  let tr = Trace.create () in
-  Trace.emit tr 0.0 "off" "ignored";
-  Alcotest.(check int) "disabled trace records nothing" 0 (Trace.length tr);
-  Trace.enable tr;
-  Trace.emit tr 1.0 "sched" "a";
-  Trace.emit tr 2.0 "signal" "b";
-  Trace.emit tr 3.0 "sched" "c";
-  Alcotest.(check int) "3 records" 3 (Trace.length tr);
-  let scheds = Trace.with_tag tr "sched" in
-  Alcotest.(check int) "filtered" 2 (List.length scheds);
-  Alcotest.(check string) "order kept" "a" (List.hd scheds).Trace.detail
-
 let suite =
   [
     Alcotest.test_case "mutex mutual exclusion + FIFO" `Quick test_mutex_exclusion;
     Alcotest.test_case "mutex unlock unlocked" `Quick test_mutex_unlock_unlocked;
     Alcotest.test_case "mutex waiter count" `Quick test_mutex_waiters;
-    Alcotest.test_case "trace enable/filter/clear" `Quick test_trace;
   ]

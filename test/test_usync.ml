@@ -188,7 +188,7 @@ let check_budget = 200
 let checked_rt (env : Check.env) ?(cores = 2) ?(workers = 2)
     ?(interval = 0.3e-3) () =
   let kernel =
-    Kernel.create ~trace:env.Check.trace env.Check.eng
+    Kernel.create env.Check.eng
       (Machine.with_cores Machine.skylake cores)
   in
   let config =
@@ -232,7 +232,7 @@ let test_mutex_fairness_checked () =
               done))
     in
     Runtime.start rt;
-    Check.program ~runtime:rt ~ults:us ~cores:2
+    Check.program ~runtime:rt ~ults:us
       ~oracle:(fun () ->
         Check.all_finished rt;
         let seq = List.rev !seq in
@@ -290,7 +290,7 @@ let test_channel_fifo_checked () =
           done)
     in
     Runtime.start rt;
-    Check.program ~runtime:rt ~ults:[ cons; prod ] ~cores:2
+    Check.program ~runtime:rt ~ults:[ cons; prod ]
       ~oracle:(fun () ->
         Check.all_finished rt;
         Check.require
@@ -331,7 +331,7 @@ let test_barrier_stress_checked () =
               done))
     in
     Runtime.start rt;
-    Check.program ~runtime:rt ~ults:us ~cores:3
+    Check.program ~runtime:rt ~ults:us
       ~oracle:(fun () ->
         Check.all_finished rt;
         Array.iteri
@@ -372,7 +372,7 @@ let test_no_lost_wakeups_checked () =
               done))
     in
     Runtime.start rt;
-    Check.program ~runtime:rt ~ults:us ~cores:2
+    Check.program ~runtime:rt ~ults:us
       ~oracle:(fun () ->
         Check.all_finished rt;
         let s = Runtime.metrics rt in
