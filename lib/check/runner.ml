@@ -450,7 +450,6 @@ let shrink ~replay ~max_replays trail0 msg0 =
    {!Pruned} and are counted separately. *)
 
 type dpor_node = {
-  nd_tag : string;
   nd_n : int;
   nd_alts : (int * string) array;  (* (event id, footprint); [||] = opaque *)
   nd_sleep : (int * string) list;  (* sleep set at node entry *)
@@ -485,7 +484,7 @@ let run_dpor ~budget ~run_plain =
     let new_nodes = ref [] in
     let pending_node = ref None in
     let asleep_id sl id = List.exists (fun (sid, _) -> sid = id) sl in
-    let decide _kind ~n ~tag ~alts =
+    let decide _kind ~n ~tag:_ ~alts =
       let d = !depth in
       incr depth;
       let nd =
@@ -513,7 +512,6 @@ let run_dpor ~budget ~run_plain =
           in
           let nd =
             {
-              nd_tag = tag;
               nd_n = n;
               nd_alts = alts;
               nd_sleep = !sleep;

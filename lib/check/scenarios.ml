@@ -609,41 +609,6 @@ let serve_overload_prog ?(racy = false) env =
       Runner.all_finished rt)
     ()
 
-(* ------------------------------------------------------------------ *)
-(* The negative-transient bug the clamps exist for: the sampler reads
-   two racy cumulative counters non-atomically (spawned, then — across
-   a schedule point — completed) and publishes the difference as a
-   queue depth.  A schedule that lets the worker retire work between
-   the two loads drives the difference negative; publishing it raw is
-   the bug ([Fiber.stats] and [Fiber.worker_stats] clamp instead). *)
-let telemetry_racy_prog env =
-  let eng = env.Runner.eng in
-  let spawned = ref 0 in
-  let completed = ref 0 in
-  let min_pending = ref 0 in
-  Engine.spawn eng ~footprint:"tel.counters" "worker" (fun () ->
-      for _task = 1 to 4 do
-        incr spawned;
-        Engine.delay eng 1e-4;
-        incr completed;
-        Engine.delay eng 1e-4
-      done);
-  Engine.spawn eng ~footprint:"tel.counters" "sampler" (fun () ->
-      for _sweep = 1 to 4 do
-        let s = !spawned in
-        Engine.delay eng 1e-4 (* torn read: the window the clamp closes *);
-        let pending = s - !completed in
-        if pending < !min_pending then min_pending := pending;
-        Engine.delay eng 1e-4
-      done);
-  Runner.program
-    ~oracle:(fun () ->
-      Runner.require (!min_pending >= 0)
-        "telemetry-racy: sampler published pending = %d (negative \
-         transient must be clamped)"
-        !min_pending)
-    ()
-
 let all =
   [
     {
@@ -838,18 +803,6 @@ let all =
       sexhaust = false;
       stags = [ "serve" ];
       prog = serve_overload_prog ~racy:true;
-    };
-    {
-      sname = "telemetry-racy";
-      sdesc =
-        "unclamped two-load sampler publishes a negative queue depth";
-      expect = Fail;
-      sfaults = false;
-      sbudget = 120;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "telemetry" ];
-      prog = telemetry_racy_prog;
     };
     {
       sname = "dpor-writers";

@@ -101,6 +101,11 @@ let ev_steal_batch = 30
    batched raid; `repro observe` folds these into the steal-split
    batch-size histogram. *)
 
+let ev_preempt_declined = 36
+(* a = uid.  A KLT-switching preemption found no spare KLT: the thread
+   runs on and the KLT creator is asked for one (paper §3.1.2).  It
+   closes the preempt-req chain as designed, not as a lost preemption. *)
+
 let code_name = function
   | 1 -> "spawn"
   | 2 -> "ready"
@@ -126,6 +131,7 @@ let code_name = function
   | 28 -> "req-resume"
   | 29 -> "req-done"
   | 30 -> "steal-batch"
+  | 36 -> "preempt-declined"
   | c when c = ev_timer_fire -> "timer-fire"
   | c when c = ev_sig_deliver -> "sig-deliver"
   | c when c = ev_futex_wait -> "futex-wait"
@@ -547,6 +553,9 @@ let attribute ~n_workers evs =
             match !st with
             | Flagged (t0, t1, uid) -> st := Switched (t0, t1, e.e_ts, uid, e.e_b)
             | No_chain | Switched _ -> ()
+          end
+          else if e.e_code = ev_preempt_declined then begin
+            match !st with Flagged _ -> st := No_chain | No_chain | Switched _ -> ()
           end
           else if e.e_code = ev_preempt_done then begin
             let t3 = e.e_ts in

@@ -73,6 +73,12 @@ val ev_klt_remap : int
 (** Worker continued on a fresh KLT after switching away from a bound
     thread ([a] = new klt id). *)
 
+val ev_preempt_declined : int
+(** A KLT-switching preemption found no spare KLT, so the flagged
+    thread runs on and the KLT creator is asked for one ([a] = uid).
+    It ends the preempt-req chain without a switch, which {!attribute}
+    does not count as a lost preemption. *)
+
 (** {2 Kernel event codes}
 
     Forwarded through the engine observer into the global ring.  These
@@ -336,7 +342,8 @@ val anomaly_to_string : anomaly -> string
 
 val attribute : n_workers:int -> event array -> chain list * anomaly list
 (** Walks each worker ring in order; returns completed chains
-    (chronological) and the never-landed anomalies found on the way. *)
+    (chronological) and the never-landed anomalies found on the way.
+    A chain that {!ev_preempt_declined} ends is neither. *)
 
 val detect_anomalies :
   n_workers:int -> interval:float -> ?starve_after:float -> event array -> anomaly list

@@ -255,6 +255,7 @@ let rec do_compute rt (u : ult) k d =
                   (* No spare KLT: ask the creator and keep running until
                      the next signal (paper §3.1.2 — no livelock: worst
                      case deteriorates to 1:1). *)
+                  if rt.observed then emit rt w.rank Recorder.ev_preempt_declined u.uid 0;
                   request_klt_creation rt w ~waker:klt;
                   go left
               | Some nklt ->
@@ -619,7 +620,6 @@ let create ?(config = Config.default) ?scheduler kernel ~n_workers =
           measure_preempt = false;
           active = true;
           wake_fut = None;
-          klt_requested = false;
           q_main = Dq.create ();
           q_aux = Dq.create ();
           local_klts = Queue.create ();
@@ -651,7 +651,6 @@ let create ?(config = Config.default) ?scheduler kernel ~n_workers =
     interrupt_stats = Stats.create ();
     preempt_latency_stats = Stats.create ();
     next_uid = 0;
-    rt_rng = rng;
     main_queued = 0;
     preempt_signals = 0;
     klt_switches = 0;

@@ -64,4 +64,4 @@ let make () =
     let first, second = if sf then (pop_shared, pop_private) else (pop_private, pop_shared) in
     match first rt w with Some u -> Some u | None -> second rt w
   in
-  { sched_name = "thread-packing"; next; on_ready; on_preempted; on_yielded }
+  { next; on_ready; on_preempted; on_yielded }

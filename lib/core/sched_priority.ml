@@ -41,4 +41,4 @@ let on_preempted rt (w : worker) (u : ult) =
 
 let on_yielded rt (w : worker) (u : ult) = on_preempted rt w u
 
-let make () = { sched_name = "priority"; next; on_ready; on_preempted; on_yielded }
+let make () = { next; on_ready; on_preempted; on_yielded }

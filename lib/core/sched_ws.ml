@@ -81,4 +81,4 @@ let on_preempted rt (w : worker) (u : ult) = push_main rt w u
 
 let on_yielded rt (w : worker) (u : ult) = push_main rt w u
 
-let make () = { sched_name = "work-stealing"; next; on_ready; on_preempted; on_yielded }
+let make () = { next; on_ready; on_preempted; on_yielded }

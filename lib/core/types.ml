@@ -48,7 +48,6 @@ and worker = {
   mutable measure_preempt : bool;  (* pending Table-1 style latency sample *)
   mutable active : bool;  (* thread packing: inactive workers suspend *)
   mutable wake_fut : Kernel.Futex.t option;  (* set while suspended *)
-  mutable klt_requested : bool;  (* outstanding KLT-creation request *)
   q_main : ult Dq.t;  (* primary pool (FIFO / packing pool) *)
   q_aux : ult Dq.t;  (* secondary pool (priority scheduler: analysis LIFO) *)
   local_klts : Kernel.klt Queue.t;  (* worker-local KLT pool *)
@@ -57,7 +56,6 @@ and worker = {
 }
 
 type scheduler = {
-  sched_name : string;
   next : rt -> worker -> ult option;
   on_ready : rt -> ult -> unit;  (* freshly spawned or unblocked *)
   on_preempted : rt -> worker -> ult -> unit;
@@ -97,7 +95,6 @@ and rt = {
   interrupt_stats : Desim.Stats.t;  (* Fig. 4 metric *)
   preempt_latency_stats : Desim.Stats.t;  (* Table 1 metric *)
   mutable next_uid : int;
-  rt_rng : Desim.Rng.t;
   mutable main_queued : int;
       (* threads in all workers' [q_main], kept by [Sched_ws] and
          [Sched_priority] (which read it to skip an empty steal sweep);

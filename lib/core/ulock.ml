@@ -119,7 +119,6 @@ end
 
 module Mcs = struct
   type node = {
-    nseq : int;
     mutable granted : bool;
     mutable next : node option;
     mutable nparked : ult option;
@@ -142,7 +141,7 @@ module Mcs = struct
   let lock t =
     let seq = t.nseq_ctr in
     t.nseq_ctr <- seq + 1;
-    let me = { nseq = seq; granted = false; next = None; nparked = None } in
+    let me = { granted = false; next = None; nparked = None } in
     t.arrivals <- seq :: t.arrivals;
     let prev = t.tail in
     t.tail <- Some me (* atomic swap *);

@@ -12,7 +12,7 @@ open Desim
 open Oskern
 open Preempt_core
 
-type point = { workers : int; mean : float; stddev : float; samples : int }
+type point = { workers : int; mean : float; stddev : float }
 
 type series = { strategy : Config.timer_strategy; points : point list }
 
@@ -47,12 +47,7 @@ let measure ~workers ~strategy ~intervals =
   Engine.run ~until:horizon eng;
   Exputil.Obs.capture rt;
   let s = Runtime.interrupt_stats rt in
-  {
-    workers;
-    mean = Stats.mean s;
-    stddev = Stats.stddev s;
-    samples = Stats.count s;
-  }
+  { workers; mean = Stats.mean s; stddev = Stats.stddev s }
 
 let worker_counts ~fast =
   if fast then [ 1; 4; 16; 56 ] else [ 1; 2; 4; 8; 16; 32; 56; 84; 112 ]

@@ -22,7 +22,7 @@ let configs =
     PR.Iomp_taskset;
   ]
 
-type point = { n_active : int; overhead : float; time : float; baseline : float }
+type point = { n_active : int; overhead : float }
 
 type series = { config : PR.config; points : point list }
 
@@ -50,13 +50,7 @@ let series ?(fast = false) () =
             List.map
               (fun n ->
                 let r = PR.run ~n_threads ~n_active:n ~phases config in
-                let baseline = List.assoc n baselines in
-                {
-                  n_active = n;
-                  time = r.PR.time;
-                  baseline;
-                  overhead = (r.PR.time /. baseline) -. 1.0;
-                })
+                { n_active = n; overhead = (r.PR.time /. List.assoc n baselines) -. 1.0 })
               (active_counts ~fast);
         })
       configs )

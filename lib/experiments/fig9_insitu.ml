@@ -16,7 +16,6 @@ type point = {
   atoms_global : float;
   overhead : float;
   time : float;
-  baseline : float;
   idle_frac : float;
 }
 
@@ -83,7 +82,6 @@ let series ~fast ~interval results =
                 {
                   atoms_global = atoms;
                   time = r.IR.time;
-                  baseline;
                   overhead = (r.IR.time /. baseline) -. 1.0;
                   idle_frac = r.IR.idle_frac;
                 })

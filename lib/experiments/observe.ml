@@ -117,7 +117,6 @@ type span_row = {
   sr_overhead : float;  (** sum of preempt -> resume gaps *)
   sr_preempts : int;  (** bracketed preemption yields *)
   sr_total : float;  (** stage sum = queue + service + overhead *)
-  sr_sojourn : float;  (** measured sojourn ([ev_req_done].b), NaN if lost *)
   sr_exact : bool;  (** bucket(stage sum) = bucket(measured sojourn) *)
 }
 
@@ -383,7 +382,6 @@ let span_split_of events =
               sr_overhead = a.sa_overhead;
               sr_preempts = a.sa_preempts;
               sr_total = total;
-              sr_sojourn = sojourn;
               sr_exact = exact;
             }
             :: !rows

@@ -88,7 +88,6 @@ type span_row = {
   sr_overhead : float;  (** sum of preempt -> resume gaps *)
   sr_preempts : int;  (** bracketed preemption yields *)
   sr_total : float;  (** stage sum = queue + service + overhead *)
-  sr_sojourn : float;  (** measured sojourn ([ev_req_done].b), NaN if lost *)
   sr_exact : bool;  (** bucket(stage sum) = bucket(measured sojourn) *)
 }
 

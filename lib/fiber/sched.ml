@@ -742,26 +742,25 @@ type worker_stats = {
 
 (* One racy read of every worker's owner-written fields: the one
    counter set [stats], [preemptions] and the live view fold.  The
-   owners keep bumping these cells while we read them; clamp negative
-   transients the same way [Deque.length] does so a concurrent sampler
-   never reports a negative count. *)
+   owners keep bumping these cells while we read them, so the fields of
+   one read may come from different instants; each count only grows, so
+   none reads negative. *)
 let read_workers pool =
-  let c v = Stdlib.max 0 v in
   Array.map
     (fun w ->
       {
         ws_worker = w.wid;
         ws_subpool = pool.subpools.(w.w_sp).sp_name;
-        ws_spawned = c w.w_spawned;
-        ws_local_steals = c w.w_local_steals;
-        ws_overflow_in = c w.w_overflow_in;
-        ws_inline_joins = c w.w_inline_joins;
-        ws_batch_stolen = c w.w_batch_stolen;
-        ws_parks = c w.w_parks;
-        ws_wakes = c w.w_wakes;
+        ws_spawned = w.w_spawned;
+        ws_local_steals = w.w_local_steals;
+        ws_overflow_in = w.w_overflow_in;
+        ws_inline_joins = w.w_inline_joins;
+        ws_batch_stolen = w.w_batch_stolen;
+        ws_parks = w.w_parks;
+        ws_wakes = w.w_wakes;
         ws_idle_s = Float.max 0.0 w.w_idle_s;
         ws_quantum = w.w_quantum;
-        ws_preempts = c w.w_preempts;
+        ws_preempts = w.w_preempts;
       })
     pool.workers
 
@@ -772,7 +771,6 @@ let preemptions pool =
 
 let stats pool =
   let ws = read_workers pool in
-  let c v = Stdlib.max 0 v in
   Array.to_list
     (Array.map
        (fun sp ->
@@ -782,17 +780,16 @@ let stats pool =
          {
            st_name = sp.sp_name;
            st_workers = Array.length sp.sp_members;
-           st_spawned =
-             c (Atomic.get sp.sp_ext_spawned) + sum (fun w -> w.ws_spawned);
+           st_spawned = Atomic.get sp.sp_ext_spawned + sum (fun w -> w.ws_spawned);
            st_local_steals = sum (fun w -> w.ws_local_steals);
            st_overflow_in = sum (fun w -> w.ws_overflow_in);
-           st_overflow_out = c (Atomic.get sp.sp_stolen_away);
+           st_overflow_out = Atomic.get sp.sp_stolen_away;
            st_inline_joins = sum (fun w -> w.ws_inline_joins);
            st_batch_stolen = sum (fun w -> w.ws_batch_stolen);
            st_recycled = 0;
            st_recycle_miss = 0;
            st_leapfrog = 0;
-           st_pending = c (Scheduler.length sp.inst);
+           st_pending = Scheduler.length sp.inst;
            st_quanta =
              Array.to_list
                (Array.map (fun wid -> (wid, ws.(wid).ws_quantum)) sp.sp_members);

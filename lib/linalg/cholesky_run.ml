@@ -14,7 +14,6 @@ type config =
 
 type result = {
   gflops : float;
-  makespan : float;
   deadlocked : bool;
   tasks : int;
   preemptions : int;
@@ -163,10 +162,8 @@ let run ?(machine = Machine.skylake) ?(outer = 8) ?(inner = 8) ?(per_core_gflops
         else run_iomp machine ~outer ~inner ~per_core_gflops ~tiles ~tile_dim
   in
   let total = Tiled.total_flops tiles ~b:tile_dim in
-  let makespan = if deadlocked then Float.infinity else st.finish_time in
   {
-    gflops = (if deadlocked then 0.0 else total /. makespan /. 1e9);
-    makespan;
+    gflops = (if deadlocked then 0.0 else total /. st.finish_time /. 1e9);
     deadlocked;
     tasks = Array.length st.tasks;
     preemptions;

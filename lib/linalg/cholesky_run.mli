@@ -18,7 +18,6 @@ type config =
 
 type result = {
   gflops : float;
-  makespan : float;  (** seconds until the last task completed *)
   deadlocked : bool;  (** true when the run hit its watchdog deadline *)
   tasks : int;
   preemptions : int;  (** preemption signals honored (BOLT only) *)

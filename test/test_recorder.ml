@@ -117,7 +117,9 @@ let test_kernel_codes () =
       Alcotest.(check int) (Printf.sprintf "code %d number" n) n ev)
     kernel;
   let codes =
-    List.sort_uniq compare (List.init 30 (fun i -> i + 1) @ List.map (fun (ev, _, _) -> ev) kernel)
+    List.sort_uniq compare
+      (List.init 30 (fun i -> i + 1)
+      @ (Recorder.ev_preempt_declined :: List.map (fun (ev, _, _) -> ev) kernel))
   in
   let names = List.map Recorder.code_name codes in
   List.iter
@@ -169,6 +171,23 @@ let test_lifecycle_reconstruction () =
            (fun s -> not (Float.is_nan s.Recorder.s_to))
            lc.Recorder.lc_spans)
   | lcs -> Alcotest.failf "expected 1 lifecycle, got %d" (List.length lcs)
+
+(* A KLT-switching preemption declined for want of a spare KLT ends its
+   chain as designed: no chain, no anomaly.  A flagged preemption that
+   neither switches nor is declined is still never-landed. *)
+let test_declined_is_not_lost () =
+  let attribute codes =
+    let t = Recorder.create ~n_workers:1 ~capacity:64 in
+    Recorder.set_enabled t true;
+    List.iteri (fun i code -> Recorder.emit t 0 (float_of_int (i + 1)) code 7 0) codes;
+    let chains, anomalies = Recorder.attribute ~n_workers:1 (Recorder.events t) in
+    (List.length chains, List.map Recorder.anomaly_to_string anomalies)
+  in
+  Alcotest.(check (pair int (list string))) "declined" (0, [])
+    (attribute [ Recorder.ev_sig_post; Recorder.ev_preempt_req; Recorder.ev_preempt_declined ]);
+  Alcotest.(check (pair int (list string))) "no switch"
+    (0, [ "never-landed: worker0 flagged preemption of ult7 at 1.000000s but no switch completed" ])
+    (attribute [ Recorder.ev_sig_post; Recorder.ev_preempt_req ])
 
 (* Attribution exactness on a real preemptive run: the stage sums,
    rebucketed, must reproduce the runtime's sig_to_switch histogram
@@ -312,6 +331,7 @@ let suite =
     Alcotest.test_case "kernel codes named and round-trip" `Quick test_kernel_codes;
     Alcotest.test_case "lifecycle reconstruction" `Quick
       test_lifecycle_reconstruction;
+    Alcotest.test_case "declined preemption is not lost" `Quick test_declined_is_not_lost;
     Alcotest.test_case "attribution matches sig_to_switch" `Quick
       test_attribution_matches_histogram;
     Alcotest.test_case "overwritten counters through dumps" `Quick
