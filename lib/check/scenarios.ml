@@ -132,7 +132,9 @@ let racy_flag_prog env =
     ()
 
 (* The correct version of the racy scenario: a real mutex guards the
-   critical section, so no schedule may trip the monitor. *)
+   critical section, so no schedule may trip the monitor, worker stalls
+   included.  Each locker then fills its own ivar and waits on its
+   neighbour's: a lost ivar wake leaves a locker blocked. *)
 let mutex_ok_prog env =
   let rt = preemptive_rt env in
   let m = Usync.Mutex.create rt in
@@ -140,7 +142,8 @@ let mutex_ok_prog env =
   let count = ref 0 in
   let threads = 3 in
   let rounds = 8 in
-  let body () =
+  let dones = Array.init threads (fun _ -> Usync.Ivar.create rt) in
+  let body i () =
     for _ = 1 to rounds do
       Usync.Mutex.lock m;
       Runner.Excl.critical excl (fun () ->
@@ -148,12 +151,14 @@ let mutex_ok_prog env =
           incr count);
       Usync.Mutex.unlock m;
       Ult.compute 1e-5
-    done
+    done;
+    Usync.Ivar.fill dones.(i) ();
+    Usync.Ivar.read dones.((i + 1) mod threads)
   in
   let us =
     List.init threads (fun i ->
         Runtime.spawn rt ~kind:Types.Klt_switching ~home:(i mod 2)
-          ~name:(Printf.sprintf "locker%d" i) body)
+          ~name:(Printf.sprintf "locker%d" i) (body i))
   in
   Runtime.start rt;
   Runner.program ~runtime:rt ~ults:us
@@ -311,303 +316,97 @@ let dpor_writers_prog env =
     ()
 
 (* ------------------------------------------------------------------ *)
-(* Sharded-pool overflow: engine-level counterpart of the real fiber
-   runtime's cross-sub-pool overflow steal (lib/fiber/sched.ml).  One
-   pinned "compute" worker drains its own queue under injected
-   preemption ("pool.preempt") and worker stalls ("pool.stall"); two
-   "analysis" workers each drain a private backlog first and
-   overflow-steal from compute only once their own sub-pool is idle
-   (steal-or-defer is a "pool.victim" choice point).  The oracle
-   asserts every compute task runs exactly once — no lost and no
-   duplicated fiber — and that no overflow steal happened while the
-   thief's own sub-pool still had runnable work.
+(* The shipped lock-free run queues: lib/fiber's own deque.ml and
+   scheduler.ml, compiled in lib/check/traced against an [Atomic] whose
+   every access is a schedule point labeled with the cell it touches.
+   Each process stands for a worker and takes no virtual time, so all
+   atomic accesses tie and DPOR explores every order of the dependent
+   ones.  Tasks are the ints [0 .. tasks-1]; an owner ends by popping
+   until its queue is empty, and the oracle requires every task to have
+   run exactly once. *)
 
-   [unfenced] re-introduces the bugs the one-step (fenced) commit
-   prevents: the thief picks its victim task, then crosses a schedule
-   point before marking it claimed, so two thieves (or a thief and the
-   owner) can both run the same task — and analysis work refilled into
-   the thief's own backlog across that window ("pool.refill") turns
-   the completed steal into an overflow steal while the own sub-pool
-   had runnable work, tripping the second oracle. *)
+module Deque = Traced.Deque
+module Scheduler = Traced.Scheduler
 
-let pool_overflow_prog ?(unfenced = false) env =
-  let eng = env.Runner.eng in
-  let n_tasks = 4 in
-  let exec = Array.make n_tasks 0 in
-  let claimed = Array.make n_tasks false in
-  let own = Array.make 2 2 in (* private analysis backlog per thief *)
-  let bad_steal = ref false in
-  let fault tag =
-    match Engine.controller eng with
-    | Some c -> Choice.fault c ~tag
-    | None -> false
+let shipped ?(torn_cas = false) ~tasks env body =
+  Traced.Atomic.reset ~torn_cas;
+  let ran = Array.make tasks 0 in
+  let run = Option.iter (fun i -> ran.(i) <- ran.(i) + 1) in
+  let rec drain pop =
+    match pop () with
+    | Some _ as t ->
+        run t;
+        drain pop
+    | None -> ()
   in
-  let pick ~n tag =
-    match Engine.controller eng with
-    | Some c -> Choice.pick c ~n ~tag
-    | None -> 0
-  in
-  Engine.spawn eng ~footprint:"pool.q" "compute0" (fun () ->
-      for i = 0 to n_tasks - 1 do
-        if fault "pool.stall" then Engine.delay eng 2e-4;
-        if not claimed.(i) then begin
-          (* Owner's claim is one engine step: atomic by construction. *)
-          claimed.(i) <- true;
-          exec.(i) <- exec.(i) + 1
-        end;
-        (* New analysis work may land in a thief's backlog at any
-           point — in particular inside an unfenced thief's
-           pick-to-commit window, which is what keeps the bad-steal
-           oracle honest.  A pick, not a fault: the unfenced variant
-           runs without fault injection and still needs refills. *)
-        if pick ~n:2 "pool.refill" = 1 then own.(i mod 2) <- own.(i mod 2) + 1;
-        if fault "pool.preempt" then Engine.delay eng 0.0;
-        Engine.delay eng 1e-4
-      done);
-  let oldest_unclaimed () =
-    let r = ref (-1) in
-    for i = n_tasks - 1 downto 0 do
-      if not claimed.(i) then r := i
-    done;
-    !r
-  in
-  for w = 0 to 1 do
-    Engine.spawn eng ~footprint:"pool.q"
-      (Printf.sprintf "analysis%d" w)
-      (fun () ->
-        for _poll = 1 to 12 do
-          if own.(w) > 0 then
-            (* Own sub-pool busy: serve it; overflow is not allowed. *)
-            own.(w) <- own.(w) - 1
-          else begin
-            match oldest_unclaimed () with
-            | -1 -> ()
-            | _ when pick ~n:2 "pool.victim" = 1 -> () (* defer the steal *)
-            | i ->
-                if unfenced then Engine.delay eng 0.0;
-                (* ^ buggy variant: victim chosen, claim not yet marked *)
-                (* Re-read at the commit point.  The fenced thief's
-                   emptiness test, victim pick and claim are one engine
-                   step, so own.(w) is still 0 here by construction; the
-                   unfenced thief crossed a schedule point above, where
-                   a pool.refill can land analysis work in its backlog —
-                   stealing anyway is exactly the forbidden overflow
-                   steal while the own sub-pool has runnable work. *)
-                if own.(w) > 0 then bad_steal := true;
-                claimed.(i) <- true;
-                exec.(i) <- exec.(i) + 1
-          end;
-          Engine.delay eng 1e-4
-        done)
-  done;
+  body ~spawn:(Engine.spawn env.Runner.eng) ~run ~drain;
   Runner.program
     ~oracle:(fun () ->
       Array.iteri
         (fun i n ->
-          Runner.require (n = 1)
-            "pool-overflow: task %d executed %d time(s), expected exactly 1"
-            i n)
-        exec;
-      Runner.require (not !bad_steal)
-        "pool-overflow: overflow steal while own sub-pool had runnable work")
+          Runner.require (n = 1) "task %d ran %d time(s), expected exactly 1" i n)
+        ran)
     ()
 
-(* Batched steal-half: engine-level counterpart of the real deque's
-   [steal_batch] (lib/fiber/deque.ml).  A bounded ring with
-   free-running [top]/[bottom]: the owner pushes while its room check
-   [bottom - top < cap] says the ring has space, pops from the bottom
-   otherwise, and a thief raids up to half the run per trip.  The
-   sound design iterates per-element claims — each element's
-   emptiness check, copy-out and [top] publish are one engine step,
-   the batched analogue of the classic single-element CAS — so the
-   oracle's exactly-once property holds in every schedule.
+(* The owner pushes every task and pops them back against a thief: the
+   last-element race, where both CAS [top], and the steal-half raid
+   against the owner's interior pops.  The thief starts once the owner
+   has pushed [head_start] tasks.  With 24 tasks and at most six of them
+   stolen, the 16-slot ring must grow. *)
+let deque_prog ?torn_cas ?(head_start = 0) ~tasks thief env =
+  shipped ?torn_cas ~tasks env (fun ~spawn ~run ~drain ->
+      let d = Deque.create () in
+      spawn "owner" (fun () ->
+          for i = 0 to tasks - 1 do
+            if i = head_start then spawn "thief" (fun () -> thief d run);
+            Deque.push d i
+          done;
+          drain (fun () -> Deque.pop d)))
 
-   [published] seeds the one-shot range-claim bug the real
-   implementation documents and rejects: the thief publishes the
-   whole claim ([top += k]) first and copies the elements out across
-   schedule points.  The owner's room check then believes the
-   claimed-but-uncopied slots are free, wraps, and overwrites one —
-   the thief copies the new task (double execution) and the
-   overwritten task never runs (lost fiber).  Either way a task's
-   execution count leaves 1 and the checker must catch and shrink
-   it. *)
-let steal_batch_prog ?(published = false) env =
-  let eng = env.Runner.eng in
-  let cap = 4 in
-  let n_tasks = 8 in
-  let slots = Array.make cap (-1) in
-  let top = ref 0 in
-  let bottom = ref 0 in
-  let exec = Array.make n_tasks 0 in
-  let run_task i = if i >= 0 && i < n_tasks then exec.(i) <- exec.(i) + 1 in
-  let fault tag =
-    match Engine.controller eng with
-    | Some c -> Choice.fault c ~tag
-    | None -> false
-  in
-  Engine.spawn eng ~footprint:"deque" "owner" (fun () ->
-      let next = ref 0 in
-      while !next < n_tasks do
-        if !bottom - !top < cap then begin
-          (* Room per the free-running indices: push is one step. *)
-          slots.(!bottom mod cap) <- !next;
-          bottom := !bottom + 1;
-          incr next
-        end
-        else if !bottom > !top then begin
-          (* Ring full: pop the newest instead (one step). *)
-          bottom := !bottom - 1;
-          run_task slots.(!bottom mod cap)
-        end;
-        if fault "deque.stall" then Engine.delay eng 2e-4;
-        Engine.delay eng 1e-4
-      done;
-      while !bottom > !top do
-        bottom := !bottom - 1;
-        run_task slots.(!bottom mod cap)
-      done);
-  Engine.spawn eng ~footprint:"deque" "thief" (fun () ->
-      for _raid = 1 to 10 do
-        let run = !bottom - !top in
-        if run > 0 then begin
-          let k = min 2 ((run + 1) / 2) in
-          if published then begin
-            let t0 = !top in
-            top := t0 + k (* whole range claimed before any copy-out *);
-            for j = 0 to k - 1 do
-              Engine.delay eng 1e-4 (* publish-to-copy window *);
-              run_task slots.((t0 + j) mod cap)
-            done
-          end
-          else
-            (* Iterated claims: check + copy + publish per element in
-               one engine step; stop when the run dries up. *)
-            let rec claim j =
-              if j < k && !bottom - !top > 0 then begin
-                let i = slots.(!top mod cap) in
-                top := !top + 1;
-                run_task i;
-                Engine.delay eng 1e-4;
-                claim (j + 1)
-              end
-            in
-            claim 0
-        end;
-        Engine.delay eng 1e-4
-      done);
-  Runner.program
-    ~oracle:(fun () ->
-      Array.iteri
-        (fun i n ->
-          Runner.require (n = 1)
-            "steal-batch: task %d executed %d time(s), expected exactly 1" i n)
-        exec)
-    ()
+let steals n d run =
+  for _ = 1 to n do
+    run (Deque.steal d)
+  done
 
-(* Serving-injector model: the engine-level counterpart of the
-   lib/serve open-loop load generator.  An injector ULT publishes
-   requests at fixed offsets — never waiting for completions, the
-   open-loop property — and two server ULTs on separate workers claim
-   them under a Usync mutex, run a short/long service mix long enough
-   for the 0.3 ms preemption timer to strike mid-service, and fulfill
-   the request's response Ivar.  Once everything is published the
-   injector awaits every response, so the checker's schedules (plus
-   injected timer/stall faults) probe the two properties the real
-   generator relies on: every request executes exactly once, and no
-   response wake is lost (a lost wake parks the injector forever and
-   [all_finished] trips).
+let raids n ~max d run =
+  for _ = 1 to n do
+    run (Deque.steal_batch d ~max ~spill:(fun i -> run (Some i)))
+  done
 
-   [racy] splits the claim: the server picks its request, then crosses
-   a schedule point before marking it claimed, so two servers can
-   dispatch the same request — the double-execution the oracle must
-   catch. *)
-let serve_overload_prog ?(racy = false) env =
-  let rt = preemptive_rt env in
-  let n_req = 5 in
-  let exec = Array.make n_req 0 in
-  let claimed = Array.make n_req false in
-  let published = ref 0 in
-  let m = Usync.Mutex.create rt in
-  let resp = Array.init n_req (fun _ -> Usync.Ivar.create rt) in
-  let injector =
-    Runtime.spawn rt ~kind:Types.Klt_switching ~home:0 ~name:"injector"
-      (fun () ->
-        for i = 0 to n_req - 1 do
-          published := i + 1;
-          Ult.compute 1e-4 (* inter-arrival gap; no await — open loop *)
-        done;
-        Array.iter Usync.Ivar.read resp)
-  in
-  let next_unclaimed () =
-    let r = ref (-1) in
-    for i = !published - 1 downto 0 do
-      if not claimed.(i) then r := i
-    done;
-    !r
-  in
-  let servers =
-    List.init 2 (fun w ->
-        Runtime.spawn rt ~kind:Types.Klt_switching ~home:w
-          ~name:(Printf.sprintf "server%d" w)
-          (fun () ->
-            let polls = ref 0 in
-            let all_claimed () =
-              !published = n_req && Array.for_all Fun.id claimed
-            in
-            while (not (all_claimed ())) && !polls < 200 do
-              incr polls;
-              let i =
-                if racy then begin
-                  (* Buggy variant: request picked, claim not yet
-                     marked — the schedule point in between lets the
-                     other server pick the same request. *)
-                  let i = next_unclaimed () in
-                  if i >= 0 then begin
-                    Ult.compute 1e-4 (* pick-to-claim window *);
-                    claimed.(i) <- true
-                  end;
-                  i
-                end
-                else begin
-                  Usync.Mutex.lock m;
-                  let i = next_unclaimed () in
-                  if i >= 0 then claimed.(i) <- true;
-                  Usync.Mutex.unlock m;
-                  i
-                end
-              in
-              if i < 0 then
-                (* A zero-time yield would burn the poll budget before
-                   the injector publishes anything; pace the idle poll
-                   so the servers span the whole injection horizon.
-                   Every duration in this program is a multiple of the
-                   1e-4 arrival gap on purpose: schedule-relevant
-                   events land on shared timestamps, so the chooser's
-                   tie-breaking — not wall-clock luck — decides who
-                   wins a pick-to-claim race. *)
-                Ult.compute 1e-4
-              else begin
-                (* Long services overlap several 0.3 ms timer fires, so
-                   servers get preempted mid-request. *)
-                Ult.compute (if i mod 4 = 3 then 8e-4 else 1e-4);
-                exec.(i) <- exec.(i) + 1;
-                if Usync.Ivar.peek resp.(i) = None then
-                  Usync.Ivar.fill resp.(i) ()
-              end
-            done))
-  in
-  Runtime.start rt;
-  Runner.program ~runtime:rt ~ults:(injector :: servers)
-    ~oracle:(fun () ->
-      Array.iteri
-        (fun i n ->
-          Runner.require (n = 1)
-            "serve-overload: request %d executed %d time(s), expected \
-             exactly 1"
-            i n)
-        exec;
-      Runner.all_finished rt)
-    ()
+(* One raid of [Scheduler.steal_batch] from [slot], its [rng] fixed. *)
+let raid s ~slot ~rng ~max run =
+  let spill i = run (Some i) in
+  run (Scheduler.steal_batch s ~slot ~rng:(fun () -> rng) ~max ~spill)
+
+(* Work-first joins: the owner pushes two tasks and claims each back
+   with [take], the older first, so that [take] pops the newer and
+   re-pushes it, while a member raids.  The raider's [rng] names its
+   own slot, so its raid is the sweep alone. *)
+let sched_take_prog env =
+  shipped ~tasks:2 env (fun ~spawn ~run ~drain ->
+      let s = Scheduler.create ~slots:2 in
+      spawn "owner" (fun () ->
+          Scheduler.push s ~slot:0 0;
+          Scheduler.push s ~slot:0 1;
+          List.iter (fun i -> if Scheduler.take s ~slot:0 i then run (Some i)) [ 0; 1 ];
+          drain (fun () -> Scheduler.pop s ~slot:0));
+      spawn "raider" (fun () -> raid s ~slot:1 ~rng:1 ~max:1 run))
+
+(* An external submission ([slot = -1]) lands in a front segment, where
+   the member may pop it and re-queue it as a yield while a thief from
+   another sub-pool raids.  The member drains after 1 s, once the
+   others have finished, and then finds the queues empty. *)
+let sched_submit_prog env =
+  shipped ~tasks:1 env (fun ~spawn ~run ~drain ->
+      let s = Scheduler.create ~slots:1 in
+      spawn "submitter" (fun () -> Scheduler.push s ~slot:(-1) 0);
+      spawn "member" (fun () ->
+          Option.iter (Scheduler.push_front s ~slot:0) (Scheduler.pop s ~slot:0);
+          Engine.delay (Engine.self_engine ()) 1.0;
+          drain (fun () -> Scheduler.pop s ~slot:0);
+          let left = Scheduler.length s in
+          Runner.require (left = 0) "%d task(s) left queued" left);
+      spawn "overflow" (fun () -> raid s ~slot:(-1) ~rng:0 ~max:2 run))
 
 let all =
   [
@@ -646,9 +445,9 @@ let all =
     };
     {
       sname = "mutex-ok";
-      sdesc = "correct mutex: monitor and counters hold in every schedule";
+      sdesc = "correct mutex under stalls: monitor, counters and ivar wakes hold";
       expect = Pass;
-      sfaults = false;
+      sfaults = true;
       sbudget = 60;
       sstrategy = None;
       sexhaust = false;
@@ -733,76 +532,70 @@ let all =
       prog = mcs_prog ~drop_handoff:true;
     };
     {
-      sname = "pool-overflow";
-      sdesc = "sub-pool overflow: atomic claim keeps every fiber exactly-once";
+      sname = "deque-steal";
+      sdesc = "shipped deque: owner push/pop vs two steals, each task once";
       expect = Pass;
-      sfaults = true;
-      sbudget = 80;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "pool" ];
-      prog = pool_overflow_prog ?unfenced:None;
+      sfaults = false;
+      sbudget = 8000;
+      sstrategy = Some Runner.Dpor;
+      sexhaust = true;
+      stags = [ "shipped" ];
+      prog = deque_prog ~tasks:2 (steals 2);
     };
     {
-      sname = "pool-overflow-unfenced";
-      sdesc = "split overflow claim double-runs a fiber taken by two thieves";
+      sname = "deque-torn-cas";
+      sdesc = "shipped deque on a torn CAS: owner and thief both claim a task";
       expect = Fail;
       sfaults = false;
-      sbudget = 40;
-      sstrategy = None;
+      sbudget = 20;
+      sstrategy = Some Runner.Dpor;
       sexhaust = false;
-      stags = [ "pool" ];
-      prog = pool_overflow_prog ~unfenced:true;
+      stags = [ "shipped" ];
+      prog = deque_prog ~torn_cas:true ~tasks:1 (steals 1);
     };
     {
-      sname = "steal-batch";
-      sdesc =
-        "batched steal-half: iterated per-element claims keep every task \
-         exactly-once";
+      sname = "deque-batch";
+      sdesc = "shipped deque: a steal-half raid vs the owner's pops";
       expect = Pass;
-      sfaults = true;
-      sbudget = 80;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "steal" ];
-      prog = steal_batch_prog ?published:None;
-    };
-    {
-      sname = "steal-batch-published";
-      sdesc =
-        "range claim published before copy-out lets the owner overwrite a \
-         claimed slot";
-      expect = Fail;
       sfaults = false;
-      sbudget = 80;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "steal" ];
-      prog = steal_batch_prog ~published:true;
+      sbudget = 6000;
+      sstrategy = Some Runner.Dpor;
+      sexhaust = true;
+      stags = [ "shipped" ];
+      prog = deque_prog ~tasks:3 (raids 1 ~max:2);
     };
     {
-      sname = "serve-overload";
-      sdesc =
-        "open-loop injector: mutexed claim keeps requests exactly-once, no \
-         response wake lost";
+      sname = "deque-grow";
+      sdesc = "shipped deque: the ring grows past 16 slots under raids";
       expect = Pass;
-      sfaults = true;
-      sbudget = 60;
+      sfaults = false;
+      sbudget = 500;
       sstrategy = None;
       sexhaust = false;
-      stags = [ "serve" ];
-      prog = serve_overload_prog ?racy:None;
+      stags = [ "shipped" ];
+      prog = deque_prog ~head_start:14 ~tasks:24 (raids 3 ~max:2);
     };
     {
-      sname = "serve-overload-racy";
-      sdesc = "split pick-to-claim window double-dispatches a request";
-      expect = Fail;
+      sname = "sched-take";
+      sdesc = "shipped Scheduler.take vs a raid: a join claims its task once";
+      expect = Pass;
       sfaults = false;
-      sbudget = 120;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "serve" ];
-      prog = serve_overload_prog ~racy:true;
+      sbudget = 2500;
+      sstrategy = Some Runner.Dpor;
+      sexhaust = true;
+      stags = [ "shipped" ];
+      prog = sched_take_prog;
+    };
+    {
+      sname = "sched-submit";
+      sdesc = "shipped external submit vs member pop/yield and an overflow raid";
+      expect = Pass;
+      sfaults = false;
+      sbudget = 2500;
+      sstrategy = Some Runner.Dpor;
+      sexhaust = true;
+      stags = [ "shipped" ];
+      prog = sched_submit_prog;
     };
     {
       sname = "dpor-writers";

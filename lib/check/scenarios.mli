@@ -9,11 +9,12 @@
     and fault injection, plus seeded broken variants (unfair ticket,
     racy TTAS, handoff-dropping MCS) the checker must catch.
 
-    The ["pool"] tag ([@pool-smoke]) groups the engine-level model of
-    the real fiber runtime's cross-sub-pool overflow steal
-    (lib/fiber/sched.ml): the fenced protocol must keep every fiber
-    exactly-once under preemption and worker-stall faults, and the
-    unfenced-claim variant must be caught double-running a task. *)
+    The ["shipped"] tag groups the scenarios that run lib/fiber's own
+    Chase–Lev deque and [Scheduler] (compiled in lib/check/traced with
+    an [Atomic] whose every access is a schedule point): owner pops,
+    steals, steal-half raids, [Scheduler.take] and external submits
+    must run every task exactly once, exhaustively under DPOR, and a
+    torn CAS in that [Atomic] must be caught. *)
 
 type expect = Pass | Fail
 

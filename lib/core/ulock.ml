@@ -88,9 +88,11 @@ module Ticket = struct
 end
 
 module Ttas = struct
-  type t = { rt : Runtime.t; racy : bool; mutable busy : bool }
+  type t = { racy : bool; mutable busy : bool }
 
-  let create ?(racy = false) rt = { rt; racy; busy = false }
+  (* Spins without parking, so it needs no runtime; the argument keeps
+     [create] the same for the three locks. *)
+  let create ?(racy = false) (_ : Runtime.t) = { racy; busy = false }
 
   let lock t =
     let rec acquire backoff =

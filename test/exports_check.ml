@@ -21,12 +21,13 @@
      [{ r with ... }] copy or [r.field <- v].
    - A variant constructor is built by an expression that names it, not
      by a pattern.
-   Fields and constructors are keyed by compilation unit, type name and
-   name, so that a use through the type's .mli counts.
+   Fields and constructors are keyed by compilation unit, nested module
+   path, type name and name, so that a use through the type's .mli
+   counts and same-named types in sibling modules stay apart.
 
    An item whose only users are tests is listed in exports_allow.txt as
    "Module.Sub.name  test/a.ml, test/b.ml: what it checks", a field as
-   "Module.type.field" and a constructor as "Module.type.Ctor".  Each
+   "Module.Sub.type.field" and a constructor as "Module.Sub.type.Ctor".  Each
    named test must exist and use the item.  A field line may name no
    test: it keeps a field that is never read, such as cache-line
    padding.  An entry whose item has a user, or whose value line names
@@ -88,37 +89,35 @@ let display unit =
   from (String.length unit)
 
 let unit_of (uid : Shape.Uid.t) = match uid with Item { comp_unit; _ } -> comp_unit | _ -> ""
-let type_name ty = match Types.get_desc ty with Tconstr (p, _, _) -> Path.last p | _ -> ""
 
 type kind = Value | Field | Ctor
 
 (* One key space for the three kinds: values by uid, fields and
-   constructors by unit, type and name. *)
+   constructors by unit and their name under its nested modules
+   ("Mutex.t.rt"), so that a use through the type's .mli counts. *)
 let value_key uid = Format.asprintf "v %a" Shape.Uid.print uid
-let label_key kind unit ty name = String.concat " " [ (if kind = Field then "f" else "c"); unit; ty; name ]
-let field_key (l : Types.label_description) =
-  label_key Field (unit_of l.lbl_uid) (type_name l.lbl_res) l.lbl_name
-let ctor_key (c : Types.constructor_description) =
-  label_key Ctor (unit_of c.cstr_uid) (type_name c.cstr_res) c.cstr_name
+let label_key kind unit name = String.concat " " [ (if kind = Field then "f" else "c"); unit; name ]
 
 (* What an implementation uses, each key with where, and the extent of
-   each of its value bindings. *)
-let uses str =
+   each of its value bindings.  [label] gives the key of a field or
+   constructor by the uid of its declaration. *)
+let uses ~label str =
   let used = ref [] and binds = ref [] in
   let add k (loc : Location.t) = used := (k, loc) :: !used in
+  let add_label uid loc = Option.iter (fun k -> add k loc) (label uid) in
   let open Tast_iterator in
   let expr it e =
     (match e.exp_desc with
     | Texp_ident (_, _, vd) -> add (value_key vd.val_uid) e.exp_loc
-    | Texp_field (_, _, l) -> add (field_key l) e.exp_loc
-    | Texp_construct (_, c, _) -> add (ctor_key c) e.exp_loc
+    | Texp_field (_, _, l) -> add_label l.lbl_uid e.exp_loc
+    | Texp_construct (_, c, _) -> add_label c.cstr_uid e.exp_loc
     | _ -> ());
     default_iterator.expr it e
   in
   let pat : type k. iterator -> k general_pattern -> unit =
    fun it p ->
     (match p.pat_desc with
-    | Tpat_record (fields, _) -> List.iter (fun (_, l, _) -> add (field_key l) p.pat_loc) fields
+    | Tpat_record (fields, _) -> List.iter (fun (_, l, _) -> add_label l.Types.lbl_uid p.pat_loc) fields
     | _ -> ());
     default_iterator.pat it p
   in
@@ -138,7 +137,7 @@ let uses str =
 type item = {
   kind : kind;
   key : string;
-  name : string;  (* "Module.Sub.name", "Module.type.field" *)
+  name : string;  (* "Module.Sub.name", "Module.Sub.type.field" *)
   file : string;
   unit : string;
   bound : Location.t option;
@@ -160,25 +159,32 @@ let values file unit ~mli sg =
   in
   go [ display unit ] sg
 
-(* The record fields and variant constructors a lib implementation
-   declares. *)
-let labels file unit str =
-  let found = ref [] in
-  let add kind ty name =
-    let name' = String.concat "." [ display unit; ty; name ] in
-    found := { kind; key = label_key kind unit ty name; name = name'; file; unit; bound = None } :: !found
-  in
+(* The record fields and variant constructors a typed tree declares,
+   each with the uid of its declaration and its name under the nested
+   modules. *)
+let labels walk =
+  let found = ref [] and path = ref [] in
   let open Tast_iterator in
   let type_declaration it td =
-    let ty = td.typ_name.txt in
-    (match td.typ_kind with
-    | Ttype_record lds -> List.iter (fun ld -> add Field ty ld.ld_name.txt) lds
-    | Ttype_variant cds -> List.iter (fun cd -> add Ctor ty cd.cd_name.txt) cds
+    let add kind uid id =
+      let name = List.rev_append !path [ td.typ_name.txt; Ident.name id ] in
+      found := (kind, uid, String.concat "." name) :: !found
+    in
+    (match td.typ_type.type_kind with
+    | Type_record (lds, _) -> List.iter (fun (l : Types.label_declaration) -> add Field l.ld_uid l.ld_id) lds
+    | Type_variant (cds, _) ->
+        List.iter (fun (c : Types.constructor_declaration) -> add Ctor c.cd_uid c.cd_id) cds
     | _ -> ());
     default_iterator.type_declaration it td
   in
-  let it = { default_iterator with type_declaration } in
-  it.structure it str;
+  let nested name visit it x =
+    path := Option.value name ~default:"_" :: !path;
+    visit it x;
+    path := List.tl !path
+  in
+  let module_binding it mb = nested mb.mb_name.txt default_iterator.module_binding it mb in
+  let module_declaration it md = nested md.md_name.txt default_iterator.module_declaration it md in
+  walk { default_iterator with type_declaration; module_binding; module_declaration };
   List.rev !found
 
 (* "Module.name  test/a.ml, test/b.ml: why" lines; # starts a comment.
@@ -222,7 +228,7 @@ let () =
   List.iter
     (fun (f, c) ->
       match c.Cmt_format.cmt_annots with
-      | Interface sg -> Hashtbl.replace mlis (Filename.remove_extension f) (f, sg.sig_type)
+      | Interface sg -> Hashtbl.replace mlis (Filename.remove_extension f) (f, sg)
       | _ -> ())
     (compiled root ~src:"lib" "lib");
   let mli (f, _, _) = Hashtbl.find_opt mlis (Filename.remove_extension f) in
@@ -231,19 +237,40 @@ let () =
     List.concat_map
       (fun ((_, unit, _) as u) ->
         let f, sg = Option.get (mli u) in
-        values f unit ~mli:true sg)
+        values f unit ~mli:true sg.sig_type)
       with_mli
   in
   let lets = List.concat_map (fun (f, unit, str) -> values f unit ~mli:false str.str_type) bare in
-  let items =
-    exported @ lets @ List.concat_map (fun (f, unit, str) -> labels f unit str) (with_mli @ bare)
+  (* A unit's own .ml sees the label uids of its .ml; other units see
+     those of its .mli, or of its .ml when it has none.  The two number
+     apart, so each has its table. *)
+  let own_keys = Shape.Uid.Tbl.create 1024 and seen_keys = Shape.Uid.Tbl.create 1024 in
+  let keyed tbl unit =
+    List.iter (fun (kind, uid, name) -> Shape.Uid.Tbl.replace tbl uid (label_key kind unit name))
   in
+  let declared =
+    List.concat_map
+      (fun ((f, unit, str) as u) ->
+        let ls = labels (fun it -> it.structure it str) in
+        keyed own_keys unit ls;
+        (match mli u with
+        | Some (_, sg) -> keyed seen_keys unit (labels (fun it -> it.signature it sg))
+        | None -> keyed seen_keys unit ls);
+        List.map
+          (fun (kind, _, name) ->
+            let key = label_key kind unit name in
+            { kind; key; name = display unit ^ "." ^ name; file = f; unit; bound = None })
+          ls)
+      (with_mli @ bare)
+  in
+  let label unit uid = Shape.Uid.Tbl.find_opt (if unit_of uid = unit then own_keys else seen_keys) uid in
+  let items = exported @ lets @ declared in
   let by_key = Hashtbl.create 1024 in
   List.iter (fun i -> Hashtbl.replace by_key i.key i) items;
   let used = Hashtbl.create 4096 in
   List.iter
     (fun (_, unit, str) ->
-      let keys, binds = uses str in
+      let keys, binds = uses ~label:(label unit) str in
       let counts (k, loc) =
         match Hashtbl.find_opt by_key k with
         | Some { kind = Value; unit = u; bound; _ } when u = unit -> (
@@ -256,9 +283,9 @@ let () =
     (impls root [ "lib"; "bin"; "bench"; "examples" ]);
   let tests = Hashtbl.create 64 in
   List.iter
-    (fun (f, _, str) ->
+    (fun (f, unit, str) ->
       let t = Hashtbl.create 256 in
-      List.iter (fun (k, _) -> Hashtbl.replace t k ()) (fst (uses str));
+      List.iter (fun (k, _) -> Hashtbl.replace t k ()) (fst (uses ~label:(label unit) str));
       Hashtbl.replace tests f t)
     (impls root [ "test" ]);
   let unused = List.filter (fun i -> not (Hashtbl.mem used i.key)) items in

@@ -191,6 +191,29 @@ let test_dpor_writers_scenario_exhausts () =
     true
     (r.Check.schedules * 10 <= 369_600)
 
+(* The shipped deque and Scheduler scenarios are DPOR programs at their
+   smallest shapes: each must exhaust its space, and the schedule count
+   is pinned, so that a change to lib/fiber's deque.ml or scheduler.ml,
+   or to the traced Atomic, that adds or drops a schedule point shows
+   here. *)
+let test_shipped_scenarios_exhaust () =
+  List.iter
+    (fun (name, schedules) ->
+      let s = scenario name in
+      let r =
+        Check.run ~seed:1 ~budget:s.Check.Scenarios.sbudget ~strategy:Check.Dpor
+          s.Check.Scenarios.prog
+      in
+      assert_ok name r;
+      Alcotest.(check bool) (name ^ ": space exhausted") true r.Check.exhausted;
+      Alcotest.(check int) (name ^ ": schedules") schedules r.Check.schedules)
+    [
+      ("deque-steal", 7553);
+      ("deque-batch", 5104);
+      ("sched-take", 2236);
+      ("sched-submit", 2336);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Parallel exploration: the counterexample must not depend on how many
    domains scanned the seed space. *)
@@ -292,34 +315,49 @@ let test_pass_scenarios_pass () =
         assert_ok s.Check.Scenarios.sname (run_scenario s))
     Check.Scenarios.all
 
-(* Each seeded broken lock variant must be caught within its committed
-   budget, deterministically (same run twice = same shrunk trail), and
-   replaying the shrunk trail must reproduce the same violation. *)
+(* A seeded bug must be caught within its scenario's committed budget,
+   deterministically (same run twice = same shrunk trail), and replaying
+   the shrunk trail must reproduce the same violation. *)
+let regression_caught ?(run = run_scenario) (name, needle) =
+  let s = scenario name in
+  let cx = violation_of name (run s) in
+  if not (Astring_contains.contains cx.Check.cx_message needle) then
+    Alcotest.failf "%s: %S does not mention %S" name cx.Check.cx_message needle;
+  let cx' = violation_of (name ^ " rerun") (run s) in
+  Alcotest.(check string) (name ^ ": deterministic message")
+    cx.Check.cx_message cx'.Check.cx_message;
+  Alcotest.(check string) (name ^ ": deterministic shrunk trail")
+    (Check.Trail.signature cx.Check.cx_trail)
+    (Check.Trail.signature cx'.Check.cx_trail);
+  let cxr =
+    violation_of (name ^ " replay") (Check.replay cx s.Check.Scenarios.prog)
+  in
+  Alcotest.(check string) (name ^ ": replay reproduces the violation")
+    cx.Check.cx_message cxr.Check.cx_message;
+  cx
+
 let test_lock_regressions_caught () =
   List.iter
-    (fun (name, needle) ->
-      let s = scenario name in
-      let cx = violation_of name (run_scenario s) in
-      if not (Astring_contains.contains cx.Check.cx_message needle) then
-        Alcotest.failf "%s: %S does not mention %S" name cx.Check.cx_message
-          needle;
-      let cx' = violation_of (name ^ " rerun") (run_scenario s) in
-      Alcotest.(check string) (name ^ ": deterministic message")
-        cx.Check.cx_message cx'.Check.cx_message;
-      Alcotest.(check string) (name ^ ": deterministic shrunk trail")
-        (Check.Trail.signature cx.Check.cx_trail)
-        (Check.Trail.signature cx'.Check.cx_trail);
-      let cxr =
-        violation_of (name ^ " replay")
-          (Check.replay cx s.Check.Scenarios.prog)
-      in
-      Alcotest.(check string) (name ^ ": replay reproduces the violation")
-        cx.Check.cx_message cxr.Check.cx_message)
+    (fun c -> ignore (regression_caught c))
     [
       ("ticket-unfair", "lost wakeup");
       ("ttas-racy", "mutual exclusion");
       ("mcs-drop", "deadlock");
     ]
+
+(* A torn CAS in the traced Atomic (read, schedule point, write) lets
+   the owner's last-element pop and a steal both claim the task.  DPOR
+   must catch it like a seeded lock bug, and the shrunk trail must still
+   force the interleaving; otherwise the Atomic no longer yields at each
+   access. *)
+let test_torn_cas_caught () =
+  let run (s : Check.Scenarios.t) =
+    Check.run ~seed:1 ~budget:s.Check.Scenarios.sbudget ~strategy:Check.Dpor
+      s.Check.Scenarios.prog
+  in
+  let cx = regression_caught ~run ("deque-torn-cas", "task 0 ran 2 time(s)") in
+  Alcotest.(check bool) "shrunk trail still forces the race" true
+    (Check.Trail.forced cx.Check.cx_trail > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Plumbing: trails, oracles, controller validation. *)
@@ -484,4 +522,7 @@ let suite =
       test_choice_validates_picks;
     Alcotest.test_case "run rejects bad budget" `Quick
       test_run_rejects_bad_budget;
+    Alcotest.test_case "shipped scenarios exhaust" `Quick
+      test_shipped_scenarios_exhaust;
+    Alcotest.test_case "torn CAS caught" `Quick test_torn_cas_caught;
   ]
