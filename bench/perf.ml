@@ -172,45 +172,28 @@ let usync_ops ~scale () =
   float_of_int (6 * rounds)
 
 (* Contended-lock hand-off: four ULTs across two workers hammering one
-   lock, comparing the Usync futex mutex against the Ulock algorithm
-   ports (ticket, TTAS+backoff, MCS).  ops = acquire/release pairs, so
-   ns/op is the full hand-off cost including parks and wakeups. *)
-let lock_contended ~make ~scale () =
+   Usync mutex.  ops = acquire/release pairs, so ns/op is the full
+   hand-off cost including parks and wakeups. *)
+let lock_contended ~scale () =
   let eng = Engine.create () in
   let kernel = Kernel.create eng (Machine.with_cores Machine.skylake 2) in
   let rt = Runtime.create kernel ~n_workers:2 in
   let rounds = 5_000 * scale in
-  let lock, unlock = make rt in
+  let m = Usync.Mutex.create rt in
   for i = 0 to 3 do
     ignore
       (Runtime.spawn rt ~home:(i mod 2)
          ~name:(Printf.sprintf "lk%d" i)
          (fun () ->
            for _ = 1 to rounds do
-             lock ();
+             Usync.Mutex.lock m;
              Ult.compute 1e-8;
-             unlock ()
+             Usync.Mutex.unlock m
            done))
   done;
   Runtime.start rt;
   Engine.run eng;
   float_of_int (4 * rounds)
-
-let usync_lock rt =
-  let m = Usync.Mutex.create rt in
-  ((fun () -> Usync.Mutex.lock m), fun () -> Usync.Mutex.unlock m)
-
-let ticket_lock rt =
-  let t = Ulock.Ticket.create rt in
-  ((fun () -> Ulock.Ticket.lock t), fun () -> Ulock.Ticket.unlock t)
-
-let ttas_lock rt =
-  let t = Ulock.Ttas.create rt in
-  ((fun () -> Ulock.Ttas.lock t), fun () -> Ulock.Ttas.unlock t)
-
-let mcs_lock rt =
-  let t = Ulock.Mcs.create rt in
-  ((fun () -> Ulock.Mcs.lock t), fun () -> Ulock.Mcs.unlock t)
 
 (* The real (native-parallel) fiber runtime's deque, single-threaded:
    owner push/pop plus the steal path. *)
@@ -432,10 +415,7 @@ let benchmarks ~quick =
     ("dispatch_recorder_off", 1, recorder_dispatch ~enabled:false ~scale);
     ("dispatch_recorder_on", 1, recorder_dispatch ~enabled:true ~scale);
     ("usync_ops", 1, usync_ops ~scale);
-    ("lock_contended_usync", 1, lock_contended ~make:usync_lock ~scale);
-    ("lock_contended_ticket", 1, lock_contended ~make:ticket_lock ~scale);
-    ("lock_contended_ttas", 1, lock_contended ~make:ttas_lock ~scale);
-    ("lock_contended_mcs", 1, lock_contended ~make:mcs_lock ~scale);
+    ("lock_contended_usync", 1, lock_contended ~scale);
     ("fiber_deque_ops", 1, fiber_deque_ops ~scale);
     ("fiber_spawn_steal_d1", 1, fiber_spawn_steal ~domains:1 ~scale);
     ("fiber_spawn_steal_d2", 2, fiber_spawn_steal ~domains:2 ~scale);

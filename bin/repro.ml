@@ -503,15 +503,19 @@ let dump_cx_flight flight_file default_path (cx : Check.counterexample) =
       path
   end
 
+(* --faults turns injection on for every scenario; a scenario built to
+   need faults has them either way. *)
+let faults_for ~faults (s : Check.Scenarios.t) = faults || s.Check.Scenarios.sfaults
+
 (* Parallel-determinism smoke: [jobs:1] and [jobs:4] with the same seed
    must agree on the first-violating schedule, its message and its
    shrunk trail (part of @check-smoke). *)
-let jobs_determinism_check ~seed =
+let jobs_determinism_check ~seed ~faults =
   match Check.Scenarios.find "racy-flag" with
   | None -> true
   | Some s ->
       let go jobs =
-        Check.run ~seed ~jobs ~faults:s.Check.Scenarios.sfaults
+        Check.run ~seed ~jobs ~faults:(faults_for ~faults s)
           ~budget:s.Check.Scenarios.sbudget ~strategy:Check.Random_walk
           s.Check.Scenarios.prog
       in
@@ -532,8 +536,8 @@ let jobs_determinism_check ~seed =
         (if ok then "[as expected]" else "[UNEXPECTED]");
       ok
 
-let check_main list_scenarios prog budget strategy seed faults jobs tag
-    max_seconds replay trace_file flight_file =
+let check_main list_scenarios prog budget strategy seed faults jobs tag replay
+    trace_file flight_file =
   let fail msg =
     prerr_endline ("repro check: " ^ msg);
     exit 1
@@ -560,16 +564,7 @@ let check_main list_scenarios prog budget strategy seed faults jobs tag
     | None, Some st -> st
     | None, None -> Check.Random_walk
   in
-  let started = Unix.gettimeofday () in
-  let check_wall_budget () =
-    match max_seconds with
-    | Some budget when Unix.gettimeofday () -. started > budget ->
-        fail
-          (Printf.sprintf "wall-clock budget exceeded (%.1fs > %.1fs)"
-             (Unix.gettimeofday () -. started)
-             budget)
-    | _ -> ()
-  in
+  let faults_for = faults_for ~faults in
   if list_scenarios then
     (* Sorted by name: stable output for golden tests. *)
     List.iter
@@ -594,10 +589,9 @@ let check_main list_scenarios prog budget strategy seed faults jobs tag
         (* Replay one schedule by chooser seed; non-zero exit on
            violation so scripts can assert reproduction. *)
         let s = scenario (Option.value prog ~default:"deadlock") in
-        let faults = faults || s.Check.Scenarios.sfaults in
         let r =
-          Check.run ~seed:rseed ~faults ~budget:1 ~strategy:(strategy_for s)
-            s.Check.Scenarios.prog
+          Check.run ~seed:rseed ~faults:(faults_for s) ~budget:1
+            ~strategy:(strategy_for s) s.Check.Scenarios.prog
         in
         (match r.Check.result with
         | `Ok -> Printf.printf "replay of seed %d: no violation\n%!" rseed
@@ -615,10 +609,9 @@ let check_main list_scenarios prog budget strategy seed faults jobs tag
             let budget =
               Option.value budget ~default:s.Check.Scenarios.sbudget
             in
-            let faults = faults || s.Check.Scenarios.sfaults in
             let r =
-              Check.run ~seed ~faults ~jobs ~budget ~strategy:(strategy_for s)
-                s.Check.Scenarios.prog
+              Check.run ~seed ~faults:(faults_for s) ~jobs ~budget
+                ~strategy:(strategy_for s) s.Check.Scenarios.prog
             in
             (match r.Check.result with
             | `Violation cx ->
@@ -646,18 +639,16 @@ let check_main list_scenarios prog budget strategy seed faults jobs tag
               List.fold_left
                 (fun acc s ->
                   let r =
-                    Check.run ~seed ~faults:s.Check.Scenarios.sfaults ~jobs
+                    Check.run ~seed ~faults:(faults_for s) ~jobs
                       ~budget:s.Check.Scenarios.sbudget
                       ~strategy:(strategy_for s) s.Check.Scenarios.prog
                   in
-                  check_wall_budget ();
                   verdict_line ~must_exhaust:s.Check.Scenarios.sexhaust
                     s.Check.Scenarios.sname s.Check.Scenarios.expect r
                   && acc)
                 true scenarios
             in
-            let ok = if tag = None then jobs_determinism_check ~seed && ok else ok in
-            check_wall_budget ();
+            let ok = if tag = None then jobs_determinism_check ~seed ~faults && ok else ok in
             if not ok then exit 1)
 
 let check =
@@ -720,16 +711,8 @@ let check =
       & info [ "tag" ] ~docv:"TAG"
           ~doc:
             "Smoke-check only the scenarios carrying $(docv) (e.g. \
-             $(b,lock) for the lock-algorithm suite).")
-  in
-  let max_seconds =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-seconds" ] ~docv:"S"
-          ~doc:
-            "Fail if the smoke run exceeds $(docv) seconds of wall clock \
-             (CI time-budget guard).")
+             $(b,shipped) for the runs of lib/fiber's own deque and \
+             scheduler).")
   in
   let replay =
     Arg.(
@@ -761,7 +744,7 @@ let check =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       const check_main $ list_scenarios $ prog $ budget $ strategy $ seed
-      $ faults $ jobs $ tag $ max_seconds $ replay $ trace_file $ flight_file)
+      $ faults $ jobs $ tag $ replay $ trace_file $ flight_file)
 
 let env =
   let doc = "Print the simulated machine configurations (paper Table 2)." in

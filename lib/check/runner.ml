@@ -40,13 +40,12 @@ let program ?runtime ?(ults = []) ?(oracle = fun () -> ()) () = { runtime; ults;
 (** Mutual-exclusion monitor: raises as soon as two threads are inside
     the same critical section. *)
 module Excl = struct
-  type t = { ename : string; mutable inside : int; mutable entries : int }
+  type t = { ename : string; mutable inside : int }
 
-  let create ename = { ename; inside = 0; entries = 0 }
+  let create ename = { ename; inside = 0 }
 
   let enter t =
     t.inside <- t.inside + 1;
-    t.entries <- t.entries + 1;
     if t.inside > 1 then
       violate "mutual exclusion violated: %d threads inside %s" t.inside
         t.ename
@@ -56,29 +55,6 @@ module Excl = struct
   let critical t f =
     enter t;
     Fun.protect ~finally:(fun () -> leave t) f
-
-  let entries t = t.entries
-end
-
-(** FIFO-fairness monitor for queue locks: grants must follow arrival
-    order.  The lock under test reports both orders; [check] raises on
-    the first position where they diverge. *)
-module Fifo = struct
-  type t = { fname : string; mutable arrivals : int list; mutable grants : int list }
-
-  let create fname = { fname; arrivals = []; grants = [] }
-
-  let arrived t k = t.arrivals <- k :: t.arrivals
-
-  let granted t k = t.grants <- k :: t.grants
-
-  let order = List.rev
-
-  let check t =
-    let a = order t.arrivals and g = order t.grants in
-    let show l = String.concat "," (List.map string_of_int l) in
-    require (a = g) "%s: FIFO fairness violated (arrival order [%s], grant order [%s])"
-      t.fname (show a) (show g)
 end
 
 let all_finished rt =

@@ -54,28 +54,6 @@ module Excl : sig
 
   (** [critical t f] runs [f] inside the monitor (exception-safe). *)
   val critical : t -> (unit -> 'a) -> 'a
-
-  (** Total number of entries into the critical section. *)
-  val entries : t -> int
-end
-
-(** FIFO-fairness monitor for queue locks (ticket, MCS): the lock
-    under test reports the order threads arrived and the order they
-    were granted the lock; {!Fifo.check} raises {!Violation} if the
-    two diverge. *)
-module Fifo : sig
-  type t
-
-  val create : string -> t
-
-  (** [arrived t k] records that request [k] joined the queue. *)
-  val arrived : t -> int -> unit
-
-  (** [granted t k] records that request [k] acquired the lock. *)
-  val granted : t -> int -> unit
-
-  (** Raises {!Violation} unless grants follow arrival order. *)
-  val check : t -> unit
 end
 
 (** Raises unless every spawned thread finished. *)

@@ -20,7 +20,7 @@ type t = {
   sstrategy : Runner.strategy option;
       (** strategy the scenario is built for; [None] = caller's choice *)
   sexhaust : bool;  (** the budget must fully exhaust the space (DPOR) *)
-  stags : string list;  (** registry groups, e.g. ["lock"] *)
+  stags : string list;  (** registry groups, e.g. ["shipped"] *)
   prog : Runner.env -> Runner.program;
 }
 
@@ -202,82 +202,6 @@ let channel_fifo_prog env =
         (List.length !got);
       Runner.no_lost_wakeups rt)
     ()
-
-(* ------------------------------------------------------------------ *)
-(* Lock-algorithm suite (lib/core/ulock.ml): each algorithm runs under
-   preemption + fault injection with the mutual-exclusion monitor, the
-   liveness and lost-wakeup oracles, and — for the queue locks — the
-   FIFO-fairness oracle over the lock's own arrival/grant history.  The
-   broken variants are seeded regressions: the checker must catch each
-   one's characteristic failure. *)
-
-let lock_threads = 3
-
-let lock_rounds = 3
-
-let lock_prog ~section ~make env =
-  let rt = preemptive_rt env in
-  let lock, unlock, extra_oracle = make rt in
-  let excl = Runner.Excl.create section in
-  let body () =
-    for _ = 1 to lock_rounds do
-      lock ();
-      Runner.Excl.critical excl (fun () -> Ult.compute 2e-5);
-      unlock ();
-      Ult.compute 1e-5
-    done
-  in
-  let us =
-    List.init lock_threads (fun i ->
-        Runtime.spawn rt ~kind:Types.Klt_switching ~home:(i mod 2)
-          ~name:(Printf.sprintf "locker%d" i) body)
-  in
-  Runtime.start rt;
-  Runner.program ~runtime:rt ~ults:us
-    ~oracle:(fun () ->
-      Runner.all_finished rt;
-      Runner.require
-        (Runner.Excl.entries excl = lock_threads * lock_rounds)
-        "%s: %d critical entries, expected %d" section
-        (Runner.Excl.entries excl)
-        (lock_threads * lock_rounds);
-      extra_oracle ();
-      Runner.no_lost_wakeups rt)
-    ()
-
-let fifo_oracle name history () =
-  let fifo = Runner.Fifo.create name in
-  let arrivals, grants = history () in
-  List.iter (Runner.Fifo.arrived fifo) arrivals;
-  List.iter (Runner.Fifo.granted fifo) grants;
-  Runner.Fifo.check fifo
-
-let ticket_prog ?unfair env =
-  lock_prog ~section:"ticket section"
-    ~make:(fun rt ->
-      let lk = Ulock.Ticket.create ?unfair rt in
-      ( (fun () -> Ulock.Ticket.lock lk),
-        (fun () -> Ulock.Ticket.unlock lk),
-        fifo_oracle "ticket lock" (fun () -> Ulock.Ticket.history lk) ))
-    env
-
-let ttas_prog ?racy env =
-  lock_prog ~section:"ttas section"
-    ~make:(fun rt ->
-      let lk = Ulock.Ttas.create ?racy rt in
-      ( (fun () -> Ulock.Ttas.lock lk),
-        (fun () -> Ulock.Ttas.unlock lk),
-        fun () -> () ))
-    env
-
-let mcs_prog ?drop_handoff env =
-  lock_prog ~section:"mcs section"
-    ~make:(fun rt ->
-      let lk = Ulock.Mcs.create ?drop_handoff rt in
-      ( (fun () -> Ulock.Mcs.lock lk),
-        (fun () -> Ulock.Mcs.unlock lk),
-        fifo_oracle "mcs lock" (fun () -> Ulock.Mcs.history lk) ))
-    env
 
 (* ------------------------------------------------------------------ *)
 (* DPOR showcase: four writer processes, three labeled steps each, all
@@ -464,72 +388,6 @@ let all =
       sexhaust = false;
       stags = [];
       prog = channel_fifo_prog;
-    };
-    {
-      sname = "ticket-lock";
-      sdesc = "ticket lock: exclusion + FIFO fairness under preemption/faults";
-      expect = Pass;
-      sfaults = true;
-      sbudget = 40;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "lock" ];
-      prog = ticket_prog ?unfair:None;
-    };
-    {
-      sname = "ticket-unfair";
-      sdesc = "broken ticket lock: LIFO barging wakeups break FIFO fairness";
-      expect = Fail;
-      sfaults = false;
-      sbudget = 120;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "lock" ];
-      prog = ticket_prog ~unfair:true;
-    };
-    {
-      sname = "ttas-lock";
-      sdesc = "TTAS+backoff lock: exclusion under preemption/faults";
-      expect = Pass;
-      sfaults = true;
-      sbudget = 40;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "lock" ];
-      prog = ttas_prog ?racy:None;
-    };
-    {
-      sname = "ttas-racy";
-      sdesc = "broken TTAS: preemptible test-to-set window breaks exclusion";
-      expect = Fail;
-      sfaults = false;
-      sbudget = 40;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "lock" ];
-      prog = ttas_prog ~racy:true;
-    };
-    {
-      sname = "mcs-lock";
-      sdesc = "MCS queue lock: exclusion + FIFO fairness under preemption/faults";
-      expect = Pass;
-      sfaults = true;
-      sbudget = 40;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "lock" ];
-      prog = mcs_prog ?drop_handoff:None;
-    };
-    {
-      sname = "mcs-drop";
-      sdesc = "broken MCS: release drops a mid-enqueue successor (deadlock)";
-      expect = Fail;
-      sfaults = false;
-      sbudget = 200;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "lock" ];
-      prog = mcs_prog ~drop_handoff:true;
     };
     {
       sname = "deque-steal";

@@ -1,13 +1,7 @@
 (** Ready-made buggy and correct concurrency scenarios over the
     preemptive runtime, with the verdict the checker is expected to
     reach.  Backs the [repro check] CLI subcommand and the
-    [@check-smoke] / [@lock-suite] aliases.
-
-    The ["lock"] tag groups the {!Preempt_core.Ulock} algorithm suite:
-    correct ticket / TTAS / MCS locks that must pass the exclusion,
-    FIFO-fairness, liveness and lost-wakeup oracles under preemption
-    and fault injection, plus seeded broken variants (unfair ticket,
-    racy TTAS, handoff-dropping MCS) the checker must catch.
+    [@check-smoke] alias.
 
     The ["shipped"] tag groups the scenarios that run lib/fiber's own
     Chase–Lev deque and [Scheduler] (compiled in lib/check/traced with
@@ -30,7 +24,7 @@ type t = {
   sexhaust : bool;
       (** the expected verdict includes exhausting the schedule space
           within [sbudget] (DPOR scenarios) *)
-  stags : string list;  (** registry groups, e.g. ["lock"] *)
+  stags : string list;  (** registry groups, e.g. ["shipped"] *)
   prog : Runner.env -> Runner.program;
 }
 

@@ -136,9 +136,8 @@ type snapshot = {
   s_workers : wcounters array;  (** deep copies, one per worker *)
   s_totals : wcounters;  (** field-wise sums over all workers *)
   s_sync_blocks : int;
-      (** ULTs that blocked on a [Usync] or [Ulock] primitive (contended
-          mutex, barrier wait, empty channel/ivar, join, parked lock
-          waiter) *)
+      (** ULTs that blocked on a [Usync] primitive (contended mutex,
+          barrier wait, empty channel/ivar, join) *)
   s_sync_wakeups : int;
       (** ULTs readied by such a primitive (handoff, release,
           broadcast) *)

@@ -183,7 +183,7 @@ let klt_switch_preempt rt (w : worker) (u : ult) klt cont_left =
   u.ustate <- U_bound;
   u.bound_klt <- Some klt;
   u.resume_worker <- None;
-  let fut = Kernel.Futex.create rt.kernel 0 in
+  let fut = Kernel.Futex.create 0 in
   (u.bound_wake <-
      Some
        (fun waker_klt w2 ->
@@ -418,7 +418,7 @@ and park_klt rt klt =
   wait ()
 
 and suspend_worker rt (w : worker) klt =
-  let fut = Kernel.Futex.create rt.kernel 0 in
+  let fut = Kernel.Futex.create 0 in
   w.wake_fut <- Some fut;
   ignore (Kernel.Futex.wait rt.kernel klt fut ~expected:0);
   w.wake_fut <- None
@@ -573,7 +573,7 @@ let spawn_pool_klt rt ?creator () =
      charged per-ULT (see Types.ult.footprint). *)
   Kernel.set_footprint rt.kernel klt 0.05;
   Itab.set rt.parked (Kernel.klt_id klt)
-    { pfut = Kernel.Futex.create rt.kernel 0; pmsg = None };
+    { pfut = Kernel.Futex.create 0; pmsg = None };
   klt
 
 let creator_loop rt klt =
@@ -633,7 +633,7 @@ let create ?(config = Config.default) ?scheduler kernel ~n_workers =
     workers;
     sched;
     n_active = n_workers;
-    creator_fut = Some (Kernel.Futex.create kernel 0);
+    creator_fut = Some (Kernel.Futex.create 0);
     global_klts = Queue.create ();
     parked = Itab.create 64;
     klt_pinned = Itab.create 64;
@@ -751,7 +751,7 @@ let start rt =
       in
       Kernel.set_footprint rt.kernel klt 0.05;
       Itab.set rt.parked (Kernel.klt_id klt)
-        { pfut = Kernel.Futex.create rt.kernel 0; pmsg = None };
+        { pfut = Kernel.Futex.create 0; pmsg = None };
       Itab.set rt.klt_pinned (Kernel.klt_id klt) w.rank)
     rt.workers;
   ignore (Kernel.spawn rt.kernel ~name:"klt-creator" (fun klt -> creator_loop rt klt));

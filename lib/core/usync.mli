@@ -4,17 +4,9 @@
     worker free to run other threads (the lightweight-synchronization
     advantage of M:N threads the paper leans on).  Busy-wait variants —
     the kind that deadlock nonpreemptive runtimes — live with the MKL
-    model in the [linalg] library. *)
-
-(** [park rt register] blocks the calling thread, handing it to
-    [register] (which stores it where a waker will find it), and emits
-    a sync-block event.  The blocking step of every primitive here and
-    in {!Ulock}. *)
-val park : Runtime.t -> (Ult.t -> unit) -> unit
-
-(** [wake rt u] readies [u], parked by {!park}, and emits a sync-wake
-    event. *)
-val wake : Runtime.t -> Ult.t -> unit
+    model in the [linalg] library.  Every primitive emits a sync-block
+    event when it parks a thread and a sync-wake event when it readies
+    one; {!Metrics} counts both. *)
 
 (** [join rt u] blocks the calling thread until [u] finishes. *)
 val join : Runtime.t -> Ult.t -> unit

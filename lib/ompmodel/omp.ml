@@ -127,10 +127,10 @@ let team_for t master =
           size = 1;
           work = None;
           work_gen = 0;
-          work_fut = Kernel.Futex.create t.k 0;
+          work_fut = Kernel.Futex.create 0;
           arrived = 0;
           release_gen = 0;
-          release_fut = Kernel.Futex.create t.k 0;
+          release_fut = Kernel.Futex.create 0;
           shutdown = false;
         }
       in

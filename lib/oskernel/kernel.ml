@@ -848,9 +848,9 @@ let set_affinity t klt mask =
 module Futex = struct
   type waiter = { mutable alive : bool; deliver : unit -> unit }
 
-  type nonrec t = { k : t; mutable value : int; mutable fwaiters : waiter list }
+  type t = { mutable value : int; mutable fwaiters : waiter list }
 
-  let create k v = { k; value = v; fwaiters = [] }
+  let create v = { value = v; fwaiters = [] }
 
   let value f = f.value
 

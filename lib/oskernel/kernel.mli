@@ -178,7 +178,8 @@ module Futex : sig
 
   type t
 
-  val create : kernel -> int -> t
+  (** [create v] makes a futex word holding [v]. *)
+  val create : int -> t
 
   val value : t -> int
 

@@ -302,12 +302,6 @@ let test_lost_wakeup_caught () =
   Alcotest.(check string) "deterministic replay" cx.Check.cx_message
     cxr.Check.cx_message
 
-let test_racy_flag_caught () =
-  let s = scenario "racy-flag" in
-  let cx = violation_of "racy-flag" (run_scenario s) in
-  Alcotest.(check bool) "mutual-exclusion violation" true
-    (Astring_contains.contains cx.Check.cx_message "mutual exclusion")
-
 let test_pass_scenarios_pass () =
   List.iter
     (fun (s : Check.Scenarios.t) ->
@@ -336,14 +330,9 @@ let regression_caught ?(run = run_scenario) (name, needle) =
     cx.Check.cx_message cxr.Check.cx_message;
   cx
 
-let test_lock_regressions_caught () =
-  List.iter
-    (fun c -> ignore (regression_caught c))
-    [
-      ("ticket-unfair", "lost wakeup");
-      ("ttas-racy", "mutual exclusion");
-      ("mcs-drop", "deadlock");
-    ]
+(* The Excl monitor's seeded bug: two racers both pass the flag test. *)
+let test_racy_flag_caught () =
+  ignore (regression_caught ("racy-flag", "mutual exclusion"))
 
 (* A torn CAS in the traced Atomic (read, schedule point, write) lets
    the owner's last-element pop and a steal both claim the task.  DPOR
@@ -380,7 +369,6 @@ let test_excl_monitor () =
   let e = Check.Excl.create "crit" in
   Check.Excl.critical e (fun () -> ());
   Check.Excl.critical e (fun () -> ());
-  Alcotest.(check int) "entries counted" 2 (Check.Excl.entries e);
   Alcotest.check_raises "second entrant trips the monitor"
     (Check.Violation "mutual exclusion violated: 2 threads inside crit")
     (fun () -> Check.Excl.critical e (fun () -> Check.Excl.critical e ignore))
@@ -390,24 +378,6 @@ let test_choice_validates_picks () =
   Alcotest.check_raises "out-of-range pick rejected"
     (Invalid_argument "Choice: x picked 7 of 3") (fun () ->
       ignore (Choice.pick c ~n:3 ~tag:"x"))
-
-let test_fifo_oracle () =
-  let ok = Check.Fifo.create "q" in
-  Check.Fifo.arrived ok 1;
-  Check.Fifo.arrived ok 2;
-  Check.Fifo.granted ok 1;
-  Check.Fifo.granted ok 2;
-  Check.Fifo.check ok;
-  let bad = Check.Fifo.create "q" in
-  Check.Fifo.arrived bad 1;
-  Check.Fifo.arrived bad 2;
-  Check.Fifo.granted bad 2;
-  Check.Fifo.granted bad 1;
-  match Check.Fifo.check bad with
-  | () -> Alcotest.fail "out-of-order grant not reported"
-  | exception Check.Violation m ->
-      Alcotest.(check bool) "names the fairness break" true
-        (Astring_contains.contains m "FIFO fairness violated")
 
 (* Shrinker cost pins: the replay functions below are synthetic, so the
    exact number of replays the shrinker spends is deterministic and
@@ -462,17 +432,9 @@ let test_registry_names_sorted () =
     (fun n ->
       if not (List.mem n names) then
         Alcotest.failf "scenario %S missing from the registry" n)
-    [
-      "ticket-lock";
-      "ticket-unfair";
-      "ttas-lock";
-      "ttas-racy";
-      "mcs-lock";
-      "mcs-drop";
-      "dpor-writers";
-    ];
-  Alcotest.(check int) "lock tag groups the ulock suite" 6
-    (List.length (Check.Scenarios.find_tag "lock"))
+    [ "dpor-writers" ];
+  Alcotest.(check int) "shipped tag groups the lib/fiber runs" 6
+    (List.length (Check.Scenarios.find_tag "shipped"))
 
 let test_run_rejects_bad_budget () =
   Alcotest.check_raises "budget must be positive"
@@ -505,11 +467,11 @@ let suite =
     Alcotest.test_case "lost wakeup caught" `Quick test_lost_wakeup_caught;
     Alcotest.test_case "racy flag caught" `Quick test_racy_flag_caught;
     Alcotest.test_case "pass scenarios pass" `Quick test_pass_scenarios_pass;
-    Alcotest.test_case "lock regressions caught" `Quick
-      test_lock_regressions_caught;
+    Alcotest.test_case "torn CAS caught" `Quick test_torn_cas_caught;
     Alcotest.test_case "trail summary" `Quick test_trail_summary;
     Alcotest.test_case "excl monitor" `Quick test_excl_monitor;
-    Alcotest.test_case "fifo oracle" `Quick test_fifo_oracle;
+    Alcotest.test_case "choice validates picks" `Quick
+      test_choice_validates_picks;
     Alcotest.test_case "shrink skips phase 2 when nothing forced" `Quick
       test_shrink_skips_phase2_when_nothing_forced;
     Alcotest.test_case "shrink stops once zeroed" `Quick
@@ -518,11 +480,8 @@ let suite =
       test_shrink_worst_case_cost;
     Alcotest.test_case "registry names sorted" `Quick
       test_registry_names_sorted;
-    Alcotest.test_case "choice validates picks" `Quick
-      test_choice_validates_picks;
     Alcotest.test_case "run rejects bad budget" `Quick
       test_run_rejects_bad_budget;
     Alcotest.test_case "shipped scenarios exhaust" `Quick
       test_shipped_scenarios_exhaust;
-    Alcotest.test_case "torn CAS caught" `Quick test_torn_cas_caught;
   ]

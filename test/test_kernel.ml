@@ -261,7 +261,7 @@ let test_timer_first_offset () =
 
 let test_futex_wait_wake () =
   let eng, k = make () in
-  let fut = Kernel.Futex.create k 0 in
+  let fut = Kernel.Futex.create 0 in
   let woke_at = ref 0.0 in
   ignore
     (Kernel.spawn k ~name:"waiter" (fun klt ->
@@ -279,7 +279,7 @@ let test_futex_wait_wake () =
 
 let test_futex_value_mismatch () =
   let eng, k = make () in
-  let fut = Kernel.Futex.create k 7 in
+  let fut = Kernel.Futex.create 7 in
   let result = ref `Ok in
   ignore
     (Kernel.spawn k ~name:"w" (fun klt -> result := Kernel.Futex.wait k klt fut ~expected:0));
@@ -288,7 +288,7 @@ let test_futex_value_mismatch () =
 
 let test_futex_wake_count () =
   let eng, k = make ~cores:4 () in
-  let fut = Kernel.Futex.create k 0 in
+  let fut = Kernel.Futex.create 0 in
   let woken = ref 0 in
   for i = 0 to 2 do
     ignore

@@ -119,7 +119,7 @@ let test_yield_alone_is_noop () =
 
 let test_futex_set_before_wait () =
   let eng, k = make () in
-  let fut = Kernel.Futex.create k 0 in
+  let fut = Kernel.Futex.create 0 in
   Kernel.Futex.set fut 1;
   let r = ref `Ok in
   ignore (Kernel.spawn k ~name:"w" (fun klt -> r := Kernel.Futex.wait k klt fut ~expected:0));

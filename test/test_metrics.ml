@@ -386,7 +386,7 @@ let signal_yield_workload () =
   Engine.run ~until:10.0 eng;
   Runtime.metrics rt
 
-(* Usync and Ulock primitives between preemptive threads. *)
+(* Usync primitives between preemptive threads. *)
 let usync_workload () =
   let eng = Engine.create ~seed:5 () in
   let kernel = Kernel.create eng (Machine.with_cores Machine.skylake 2) in
@@ -403,8 +403,6 @@ let usync_workload () =
   let bar = Usync.Barrier.create rt 4 in
   let ch = Usync.Channel.create rt in
   let iv = Usync.Ivar.create rt in
-  let tk = Ulock.Ticket.create rt in
-  let mcs = Ulock.Mcs.create rt in
   let workers =
     List.init 4 (fun i ->
         Runtime.spawn rt ~kind:Types.Klt_switching ~home:(i mod 2)
@@ -414,12 +412,6 @@ let usync_workload () =
             Ult.compute 1.2e-3;
             Usync.Mutex.unlock m;
             Usync.Barrier.wait bar;
-            Ulock.Ticket.lock tk;
-            Ult.compute 4e-4;
-            Ulock.Ticket.unlock tk;
-            Ulock.Mcs.lock mcs;
-            Ult.compute 3e-4;
-            Ulock.Mcs.unlock mcs;
             Usync.Channel.send ch i;
             ignore (Usync.Ivar.read iv)))
   in
